@@ -31,7 +31,7 @@ from gen import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_REPEATS = 5
+SETUP_REPEATS = 8  # per set-up phase; one phase runs before the workload, one after
 SETUP_CODE = "import sys, heatrobin.cli as cli; cli.load_config(sys.argv[1])"
 TIME_LIMIT_S = 170.0  # the whole invocation must end within 180 s
 OUT = ROOT / ".perfbench_out"
@@ -63,10 +63,10 @@ def git_commit() -> str:
     return lines[1]
 
 
-def setup_seconds(env: dict, deadline: float) -> tuple[float, float]:
-    """Median wall time of a fresh interpreter that imports heatrobin.cli and
-    parses one config, after one unrecorded start that fills the caches; as
-    (calibrated, raw) seconds."""
+def setup_samples(env: dict, deadline: float) -> tuple[list[float], list[float]]:
+    """Wall times of SETUP_REPEATS fresh interpreters that each import
+    heatrobin.cli and parse one config, after one unrecorded start that fills
+    the caches; as (calibrated, raw) seconds."""
     argv = [sys.executable, "-c", SETUP_CODE, str(ROOT / "configs" / "ex1.json")]
     samples, calibrated = [], []
     for i in range(SETUP_REPEATS + 1):
@@ -82,7 +82,7 @@ def setup_seconds(env: dict, deadline: float) -> tuple[float, float]:
         if i:
             samples.append(elapsed)
             calibrated.append(elapsed * NOMINAL_UNIT_S / speed.unit_s if speed.unit_s else elapsed)
-    return statistics.median(calibrated), statistics.median(samples)
+    return calibrated, samples
 
 
 def run_workload(workload: str, seed: int, seconds: int, trace: int, env: dict, deadline: float) -> dict:
@@ -145,12 +145,17 @@ def report(record: dict) -> dict:
 
 def one(workload: str, seed: int, seconds: int, trace: int, blas_threads: int, deadline: float) -> dict:
     env = child_env(blas_threads)
-    setup = None if trace else setup_seconds(env, deadline)
+    # Set-up is sampled before and after the workload, so that its median
+    # does not hang on one short window of host speed.
+    before = None if trace else setup_samples(env, deadline)
     record = run_workload(workload, seed, seconds, trace, env, deadline)
     record["environment"]["git_commit"] = git_commit()
-    if setup is not None:
-        record["metrics"] = {"setup_s": (setup[0], "s"), **record["metrics"]}
-        record["info"]["setup_s.raw"] = (setup[1], "s")
+    if before is not None:
+        after = setup_samples(env, deadline)
+        record["metrics"] = {
+            "setup_s": (statistics.median(before[0] + after[0]), "s"), **record["metrics"]
+        }
+        record["info"]["setup_s.raw"] = (statistics.median(before[1] + after[1]), "s")
     return report(record)
 
 

@@ -195,20 +195,5 @@ class Tracer:
     def span_counts(self) -> Counter:
         return Counter(name for name, *_ in self.spans)
 
-    def op_accounting(self) -> float:
-        """Largest gap, in seconds, between an op's wall time and the sum of
-        the self times of its spans (zero when spans nest properly)."""
-        child = [0] * len(self.spans)
-        for name, start, end, parent, _ in self.spans:
-            if parent >= 0:
-                child[parent] += end - start
-        wall: dict[int, int] = {}
-        selfsum: dict[int, int] = defaultdict(int)
-        for i, (name, start, end, parent, op_id) in enumerate(self.spans):
-            selfsum[op_id] += end - start - child[i]
-            if parent < 0:
-                wall[op_id] = end - start
-        return max((abs(wall[o] - selfsum[o]) * 1e-9 for o in wall), default=0.0)
-
     def dump(self) -> list[list]:
         return [list(s) for s in self.spans]

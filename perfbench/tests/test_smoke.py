@@ -19,12 +19,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import checks  # noqa: E402
 import gen  # noqa: E402
+import spans  # noqa: E402
 import workload  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 # Printed, ungated metrics each workload must name (see README.md).
-COMMON = ["cycle_s.p50", "calib_unit_ms", "setup_s.raw", "pde_residual_max"]
+COMMON = ["cycle_s.p50", "calib_unit_ms", "setup_s.raw", "pde_residual_max",
+          "peak_rss_checks_mb"]
 INFO = {
     "examples": ["solve_s.p50", "solve_s.tail", "verify_s.p50", "verify_s.tail",
                  "verify_rows_failed", "oracle_gap_max", "pde_residual_max"],
@@ -56,6 +58,9 @@ def test_shortest_run_emits_every_metric_with_its_unit(name, trace):
     assert {"ops_attempted", "ops_failed"} <= printed
     if trace == 0:
         assert set(INFO[name] + COMMON) <= printed
+        # The output checks never raise the peak RSS that peak_rss_mb reports.
+        assert [line.split()[2] for line in lines[:-1]
+                if line.split()[1:2] == ["peak_rss_checks_mb"]] == ["0"]
 
 
 def _solve_op(tmp_path):
@@ -99,6 +104,23 @@ def test_verify_exit_code_must_match_its_rows(tmp_path):
     run.check(op, (rc, out, err))
     with pytest.raises(checks.OpFailure, match="imply"):
         workload.Run(0, tmp_path).check(op, (0, out, err))
+
+
+def test_traced_spans_close_inside_their_parents(tmp_path):
+    run, tracer = workload.Run(0, tmp_path), spans.Tracer()
+    for op_id, cmd in enumerate(("solve", "verify")):
+        run.attempt(gen.Op(f"{cmd}:ex2", cmd, ROOT / "configs" / "ex2.json"), tracer, op_id)
+    assert run.failures == []
+    names = {name for name, *_ in tracer.spans}
+    assert {"op", "cli.main", "solver.solve_problem", "verify.crank_nicolson_reference"} <= names
+    for i, (name, start, end, parent, op_id) in enumerate(tracer.spans):
+        assert start <= end, name  # closed
+        if name == "op":
+            assert parent == -1
+            continue
+        assert 0 <= parent < i, name
+        _, p_start, p_end, _, p_op = tracer.spans[parent]
+        assert p_start <= start and end <= p_end and op_id == p_op, name
 
 
 def _config_bytes(ops):

@@ -40,6 +40,11 @@ from calib import NOMINAL_UNIT_S, Speedometer
 from gen import SESSION_MODES, WORKLOADS, Op, cycle_ops, probe_ops, session_lattice
 from spans import SELF_TIME_METRICS, Tracer
 
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_cli(argv: list[str]) -> tuple[float, int, str, str]:
     """heatrobin.cli.main in-process with stdout and stderr captured; returns
     (seconds spent in main, exit code, stdout, stderr)."""
@@ -107,6 +112,7 @@ class Run:
         self.oracle_gap_max = 0.0
         self.pde_residual_max = 0.0
         self.unit_s: dict[str, list] = defaultdict(list)  # speedometer, per timed op
+        self.check_rss_raise_mb = 0.0  # peak RSS added by the output checks
 
     def _outdir(self, op: Op) -> Path:
         return self.workdir / "out" / op.key.replace(":", "_")
@@ -166,7 +172,9 @@ class Run:
             else:
                 with tracer.installed(), tracer.op(op_id):
                     elapsed, result = self.execute(op)
+            peak_before_check = peak_rss_mb()
             nbytes = self.check(op, result)
+            self.check_rss_raise_mb += peak_rss_mb() - peak_before_check
         except Exception as exc:  # an op that raises is a failed op; keep measuring
             detail = "".join(traceback.format_exception_only(type(exc), exc)).strip()
             self.failures.append(f"{op.key}: {detail}")
@@ -223,7 +231,7 @@ def percentile_tail(samples: list[float]):
 
 def end_to_end(run: Run) -> tuple[dict, dict]:
     """(gated metrics, informational metrics) of an untraced run."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peak = peak_rss_mb()
     calibrated, mean_unit = run.calibrated_times()
     gated = {
         "cycle_cal_s": (sum(statistics.median(v) for v in calibrated.values()), "s"),
@@ -232,6 +240,7 @@ def end_to_end(run: Run) -> tuple[dict, dict]:
     info = {
         "cycle_s.p50": (sum(statistics.median(v) for v in run.times.values()), "s"),
         "calib_unit_ms": (mean_unit * 1e3, "ms"),
+        "peak_rss_checks_mb": (run.check_rss_raise_mb, "MB"),
     }
     families = defaultdict(list)
     for key, samples in run.times.items():
@@ -359,10 +368,7 @@ def main(argv=None) -> int:
     }
     if args.trace:
         record["metrics"] = per_layer(run, tracer, traced_cycles)
-        record["info"] = {
-            "traced_cycles": (traced_cycles, "count"),
-            "trace.unaccounted_s": (tracer.op_accounting(), "s"),
-        }
+        record["info"] = {"traced_cycles": (traced_cycles, "count")}
         if args.spans:
             Path(args.spans).write_text(json.dumps(tracer.dump()))
     else:
