@@ -1,8 +1,8 @@
 """Command-line front end: solve/verify/eigen driven by a JSON problem file.
 
 Exit codes: 0 success, 1 verification threshold failure, 2 config parse or
-validation error, 3 solver error (source parity violation, singular matching
-system).
+validation error, 3 solver error (source parity violation, numerically
+singular matching system, parameters that overflow a float).
 
 The config file is plain JSON with polynomial coefficient arrays in
 ascending-power order:
@@ -264,17 +264,26 @@ def _solution_grids(cfg: RunConfig):
     return xs, ts
 
 
-def cmd_solve(config: str, out: str) -> int:
+def _load_and_solve(config: str):
+    """(cfg, sol) for a config file, or, after printing why, the exit code:
+    2 for a config error, 3 for a solver rejection."""
     try:
         cfg = load_config(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        sol = solve_problem(cfg.problem, n_max=cfg.n_max, tol=cfg.tol)
-    except (ParityError, SingularSystemError) as exc:
+        return cfg, solve_problem(cfg.problem, n_max=cfg.n_max, tol=cfg.tol)
+    except (ParityError, SingularSystemError, OverflowError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+
+
+def cmd_solve(config: str, out: str) -> int:
+    loaded = _load_and_solve(config)
+    if isinstance(loaded, int):
+        return loaded
+    cfg, sol = loaded
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     xs, ts = _solution_grids(cfg)
@@ -287,16 +296,10 @@ def cmd_solve(config: str, out: str) -> int:
 
 
 def cmd_verify(config: str, out: str = ".") -> int:
-    try:
-        cfg = load_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        sol = solve_problem(cfg.problem, n_max=cfg.n_max, tol=cfg.tol)
-    except (ParityError, SingularSystemError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    loaded = _load_and_solve(config)
+    if isinstance(loaded, int):
+        return loaded
+    cfg, sol = loaded
     oracle = crank_nicolson_reference(cfg.problem, cfg.M, cfg.K)
     verification = residual_report(sol, t_min=cfg.t_min, oracle=oracle)
     rows = threshold_rows(verification, cfg.problem.boundary)

@@ -51,8 +51,8 @@ class ParityError(ValueError):
 
 
 class SingularSystemError(ValueError):
-    """Boundary-matching system has a vanishing pivot that the degenerate
-    fallback could not repair."""
+    """Boundary-matching system has a pivot that is negligible against its
+    column, so back-substitution cannot reproduce the target."""
 
 
 @dataclass(frozen=True)
@@ -305,63 +305,35 @@ def _solve_upper(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def match_boundary_polynomial(
-    target: Poly1,
-    k: float,
-    nu: float,
-    l: float,
-    parity: str = "even",
-    *,
-    _matrix_builder=None,
+    target: Poly1, k: float, nu: float, l: float, parity: str = "even"
 ) -> ExtensionProfile:
     """Find profile coefficients whose evolved Robin trace equals `target`.
 
-    Solves the upper-triangular system by back-substitution. If a diagonal
-    pivot vanishes (possible only in the odd-parity subtracted-flux variant,
-    never for the generated system with positive parameters), the basis is
-    augmented by one degree with its lowest coefficient pinned to zero and
-    the shifted system is solved off the superdiagonal; a warning is
-    attached. If that also fails, SingularSystemError is raised.
-
-    `_matrix_builder` overrides the system construction (diagnostics/tests).
+    Solves the upper-triangular system by back-substitution. In exact
+    arithmetic its diagonal never vanishes for positive parameters: entry j
+    is c_j * (4k)**j for even parity and (2j+1) * c_j * (4k)**j * (l + k/nu)
+    for odd parity, with c_j = half_factorial_coeff(j) > 0. The entries
+    above pivot j grow like l**(2j), though, so when 4k is small against
+    l**2 a pivot can fall below 1e-12 of its column scale; back-substitution
+    then amplifies rounding by about the inverse of that ratio and misses
+    the target, so SingularSystemError is raised instead.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if target.coeffs and target.variable != "t":
         raise ValueError("target must be a polynomial in t")
-    builder = _matrix_builder
-    if builder is None:
-        builder = lambda n: build_coefficient_system(n, k, nu, l, parity).array
     N = max(target.degree, 0)
     rhs = np.array([target.coeff(j) for j in range(N + 1)])
-    mat = builder(N)
-    diag = np.abs(np.diagonal(mat))
+    mat = build_coefficient_system(N, k, nu, l, parity).array
     colscale = np.maximum(np.abs(mat).max(axis=0), 1.0)
-    degenerate = diag <= 1e-12 * colscale
-    warnings: tuple[str, ...] = ()
-    if not degenerate.any():
-        coeffs = _solve_upper(mat, rhs)
-    elif parity == "odd":
-        # Degenerate branch: augment the basis one degree, pin the free lowest
-        # coefficient to zero, and solve along the superdiagonal. Row j then
-        # determines the (j+1)-th coefficient.
-        big = builder(N + 1)
-        sup = np.diagonal(big, offset=1)
-        supscale = np.maximum(np.abs(big).max(axis=0)[1:], 1.0)
-        if (np.abs(sup) <= 1e-12 * supscale).any():
-            raise SingularSystemError(
-                "matching system is singular: vanishing diagonal and superdiagonal pivots"
-            )
-        a = np.zeros(N + 2)
-        for j in range(N, -1, -1):
-            a[j + 1] = (rhs[j] - big[j, j + 2 :] @ a[j + 2 :]) / big[j, j + 1]
-        coeffs = a
-        warnings = (
-            "matching system diagonal vanished; basis degree augmented by one "
-            "with the lowest coefficient pinned to 0",
-        )
-    else:
+    tiny = np.flatnonzero(np.abs(np.diagonal(mat)) <= 1e-12 * colscale)
+    if tiny.size:
+        j = int(tiny[0])
         raise SingularSystemError(
-            "matching system has a vanishing diagonal pivot for even parity"
+            f"matching system is numerically singular: pivot {j} is "
+            f"{float(mat[j, j])!r}, at most 1e-12 times its column scale "
+            f"{float(colscale[j])!r}"
         )
+    coeffs = _solve_upper(mat, rhs)
     d = float(target(0.0)) if target.coeffs else 0.0
-    return ExtensionProfile(parity, tuple(coeffs), d, 0.0, warnings)
+    return ExtensionProfile(parity, tuple(coeffs), d)

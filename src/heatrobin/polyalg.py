@@ -35,8 +35,11 @@ def _trim1(coeffs) -> tuple[float, ...]:
 
 
 def _trim2(rows) -> tuple[tuple[float, ...], ...]:
-    a = np.atleast_2d(np.asarray(rows, dtype=float))
-    if a.size == 0 or not a.any():
+    # A short row holds zeros for the higher t powers it leaves out.
+    width = max(map(len, rows), default=0)
+    padded = [tuple(r) + (0.0,) * (width - len(r)) for r in rows]
+    a = np.array(padded, dtype=float).reshape(len(rows), width)
+    if not a.any():
         return ()
     nz = np.nonzero(a)
     a = a[: nz[0].max() + 1, : nz[1].max() + 1]

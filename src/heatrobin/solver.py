@@ -26,7 +26,6 @@ solved separately as a plain cosine series (solve_neumann_neumann).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,22 +55,6 @@ __all__ = [
 ]
 
 BOUNDARY_KINDS = ("neumann_robin", "dirichlet_robin", "neumann_neumann")
-
-
-def _worker_count(requested: int | None = None) -> int:
-    """Resolve evaluation parallelism; HEATROBIN_THREADS caps it."""
-    cap = None
-    raw = os.environ.get("HEATROBIN_THREADS")
-    if raw:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            cap = None
-    if requested is None:
-        requested = cap if cap is not None else 1
-    if cap is not None:
-        requested = min(requested, cap)
-    return max(1, int(requested))
 
 
 @dataclass(frozen=True)
@@ -133,10 +116,9 @@ class SemiAnalyticSolution:
     def __call__(self, x: float, t: float, tol: float = 1e-10) -> float:
         return float(self.poly_part(x, t)) + evaluate_series(self.modal, x, t, tol)
 
-    def on_grid(self, xs, ts, workers: int | None = None) -> np.ndarray:
+    def on_grid(self, xs, ts) -> np.ndarray:
         """Full-sum evaluation, shape (len(ts), len(xs))."""
-        w = _worker_count(workers)
-        return self.poly_part.grid(xs, ts) + self.modal.grid(xs, ts, w)
+        return self.poly_part.grid(xs, ts) + self.modal.grid(xs, ts)
 
 
 def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> SemiAnalyticSolution:

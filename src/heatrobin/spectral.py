@@ -193,6 +193,9 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
     )
 
 
+_TRIG = {"cos": np.cos, "sin": np.sin}
+
+
 @dataclass(frozen=True)
 class ModalSeries:
     """Truncated correction series sum_n amplitudes[n] * exp(-sigma_n^2 k t)
@@ -204,7 +207,7 @@ class ModalSeries:
     trig: str = "cos"
 
     def __post_init__(self):
-        if self.trig not in ("cos", "sin"):
+        if self.trig not in _TRIG:
             raise ValueError(f"trig must be 'cos' or 'sin', got {self.trig!r}")
         if len(self.amplitudes) != self.eigen.n_terms:
             raise ValueError("one amplitude per eigenvalue is required")
@@ -214,44 +217,28 @@ class ModalSeries:
     def n_terms(self) -> int:
         return len(self.amplitudes)
 
-    def term_bound(self, n: int, t: float) -> float:
-        """Bound |amplitude_n * exp(-sigma_n^2 k t)| on term n at time t."""
-        sig = self.eigen.roots[n]
-        return abs(self.amplitudes[n]) * math.exp(-sig * sig * self.eigen.k * t)
-
-    def grid(self, xs, ts, workers: int = 1) -> np.ndarray:
+    def grid(self, xs, ts) -> np.ndarray:
         """Full-sum evaluation on a tensor grid, shape (len(ts), len(xs)).
 
         All stored terms are summed (no tolerance truncation). Work proceeds
-        in fixed 64-row blocks of ts whether or not threads are used, so the
-        floating-point result is identical for every `workers` value; threads
-        only spread the blocks.
+        in fixed 64-row blocks of ts, which bounds the (rows, n_terms) decay
+        block at the largest grids the config accepts.
         """
         xs = np.asarray(xs, dtype=float)
         ts = np.asarray(ts, dtype=float)
-        sig = np.asarray(self.eigen.roots)
-        amp = np.asarray(self.amplitudes)
-        trig = np.cos if self.trig == "cos" else np.sin
-        tmat = trig(np.outer(sig, xs))  # (n, nx)
+        tmat = _TRIG[self.trig](np.outer(self.eigen.roots, xs))  # (n, nx)
         block = 64
-
-        def rows(tchunk):
-            decay = np.exp(-np.outer(tchunk, sig * sig * self.eigen.k))  # (nt, n)
-            return (decay * amp) @ tmat + self.offset
-
-        starts = range(0, ts.size, block)
         out = np.empty((ts.size, xs.size))
-        if workers <= 1 or ts.size <= block:
-            for s in starts:
-                out[s : s + block] = rows(ts[s : s + block])
-            return out
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = ex.map(lambda s: rows(ts[s : s + block]), starts)
-            for s, part in zip(starts, parts):
-                out[s : s + block] = part
+        for s in range(0, ts.size, block):
+            decayed = _damped_amplitudes(self, ts[s : s + block])  # (rows, n)
+            out[s : s + block] = decayed @ tmat + self.offset
         return out
+
+
+def _damped_amplitudes(series: ModalSeries, ts: np.ndarray) -> np.ndarray:
+    """amplitudes[n] * exp(-sigma_n^2 k t) for every t in ts, shape (len(ts), n)."""
+    sig = np.asarray(series.eigen.roots)
+    return np.exp(-np.outer(ts, sig * sig * series.eigen.k)) * np.asarray(series.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -295,43 +282,24 @@ def evaluate_series_info(
 ) -> SeriesValue:
     """Evaluate with tolerance-driven truncation and report the side channel.
 
-    For t > 0 the partial sum stops once the remaining stored terms plus the
-    beyond-stored geometric bound fall below tol. At t = 0 the damping is
-    gone, so all stored terms are summed and the tail cannot be certified
+    The partial sum stops once the remaining stored terms plus the
+    beyond-stored geometric bound fall below tol. Times t <= 0 evaluate the
+    initial line t = 0, where the damping is gone: the tail bound is
+    infinite, so all stored terms are summed and nothing is certified,
     unless the series is identically zero.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    eig = series.eigen
-    n = series.n_terms
-    trig = math.cos if series.trig == "cos" else math.sin
-    if t <= 0.0:
-        total = series.offset + sum(
-            series.amplitudes[i] * trig(eig.roots[i] * x) for i in range(n)
-        )
-        verified = all(a == 0.0 for a in series.amplitudes)
-        return SeriesValue(float(total), n, 0.0 if verified else math.inf, verified)
-    weights = [series.term_bound(i, t) for i in range(n)]
-    beyond = _beyond_stored_bound(series, t)
-    # suffix[i] = sum of weights[i:] + beyond
-    suffix = beyond
-    cutoffs = [0.0] * (n + 1)
-    cutoffs[n] = beyond
-    for i in range(n - 1, -1, -1):
-        suffix += weights[i]
-        cutoffs[i] = suffix
-    use = n
-    for i in range(n + 1):
-        if cutoffs[i] < tol:
-            use = i
-            break
-    kt = eig.k * t
-    total = series.offset
-    for i in range(use):
-        sig = eig.roots[i]
-        total += series.amplitudes[i] * math.exp(-sig * sig * kt) * trig(sig * x)
-    tail = cutoffs[use]
-    return SeriesValue(float(total), use, tail, tail < tol)
+    t = max(t, 0.0)
+    terms = _damped_amplitudes(series, np.array([t]))[0]
+    # cutoffs[i] = the bound beyond the stored terms + sum of |terms[i:]|
+    weights = np.concatenate(([_beyond_stored_bound(series, t)], np.abs(terms[::-1])))
+    cutoffs = np.cumsum(weights)[::-1]
+    below = np.flatnonzero(cutoffs < tol)
+    use = int(below[0]) if below.size else series.n_terms
+    sig = np.asarray(series.eigen.roots[:use])
+    total = series.offset + float(terms[:use] @ _TRIG[series.trig](sig * x))
+    return SeriesValue(total, use, float(cutoffs[use]), bool(cutoffs[use] < tol))
 
 
 def evaluate_series(series: ModalSeries, x: float, t: float, tol: float = 1e-10) -> float:

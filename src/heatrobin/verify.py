@@ -155,7 +155,6 @@ def residual_report(
     t_min: float = 0.01,
     step: float = 1e-4,
     oracle: GridSolution | None = None,
-    workers: int | None = None,
 ) -> VerificationReport:
     """Central-difference residuals of the interior equation and both
     boundary conditions on [0,l] x [t_min,T], the exact L2 size of the initial
@@ -172,11 +171,11 @@ def residual_report(
     xs = np.linspace(0.0, l, nx)
     ts = np.linspace(t_min, T, nt)
 
-    u0 = sol.on_grid(xs, ts, workers)
-    uxp = sol.on_grid(xs + step, ts, workers)
-    uxm = sol.on_grid(xs - step, ts, workers)
-    utp = sol.on_grid(xs, ts + step, workers)
-    utm = sol.on_grid(xs, ts - step, workers)
+    u0 = sol.on_grid(xs, ts)
+    uxp = sol.on_grid(xs + step, ts)
+    uxm = sol.on_grid(xs - step, ts)
+    utp = sol.on_grid(xs, ts + step)
+    utm = sol.on_grid(xs, ts - step)
 
     u_t = (utp - utm) / (2.0 * step)
     u_xx = (uxp - 2.0 * u0 + uxm) / (step * step)
@@ -199,7 +198,7 @@ def residual_report(
     oracle_diff = None
     if oracle is not None:
         mask = oracle.ts >= t_min - 1e-12
-        mine = sol.on_grid(oracle.xs, oracle.ts[mask], workers)
+        mine = sol.on_grid(oracle.xs, oracle.ts[mask])
         oracle_diff = float(np.max(np.abs(mine - oracle.values[mask])))
 
     return VerificationReport(

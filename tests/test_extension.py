@@ -271,34 +271,13 @@ def test_match_validates_target_variable_and_parity():
     assert prof.d == 0.0
 
 
-def test_match_degenerate_odd_fallback_uses_augmented_basis():
-    # the subtracted-flux odd variant at l = 2k/nu * 1/2 has an identically
-    # zero diagonal, which exercises the augmented-basis branch when injected
-    k = nu = 0.5
-    builder = lambda n: flux_sign_variant_matrix(n, k, nu, 1.0, "odd")
-    target = Poly1((1.0, 2.0), "t")
-    prof = match_boundary_polynomial(target, k, nu, 1.0, "odd", _matrix_builder=builder)
-    assert len(prof.warnings) == 1
-    assert "basis degree augmented" in prof.warnings[0]
-    assert np.allclose(prof.coeffs, (0.0, -0.3, -0.1), atol=1e-14)
-    assert prof.d == 1.0
-    # the augmented coefficients reproduce the right-hand side in the
-    # injected matrix convention
-    big = builder(2)
-    got = big @ np.asarray(prof.coeffs)
-    assert np.allclose(got, (1.0, 2.0, 0.0), atol=1e-13)
-
-
 def test_match_singular_system_raises():
-    zero_builder = lambda n: np.zeros((n + 1, n + 1))
-    with pytest.raises(SingularSystemError, match="even parity"):
-        match_boundary_polynomial(
-            Poly1((1.0,), "t"), 1.0, 1.0, 1.0, "even", _matrix_builder=zero_builder
-        )
-    with pytest.raises(SingularSystemError, match="superdiagonal"):
-        match_boundary_polynomial(
-            Poly1((1.0,), "t"), 1.0, 1.0, 1.0, "odd", _matrix_builder=zero_builder
-        )
+    # degree-8 data at a small k against a long rod: the last pivots sit
+    # below 1e-12 of their column scale for both parities
+    target = Poly1((-1.589, 1.643, -0.487, 1.881, 1.637, -0.824, -0.986, -0.092, -1.599), "t")
+    for parity in ("even", "odd"):
+        with pytest.raises(SingularSystemError, match="pivot"):
+            match_boundary_polynomial(target, 0.054, 0.152, 5.5463, parity)
 
 
 def _kernel_convolution_trace(prof: ExtensionProfile, k: float, nu: float, l: float, t: float) -> float:

@@ -10,7 +10,6 @@ from heatrobin.polyalg import Poly1, Poly2
 from heatrobin.solver import (
     CosineHeatSeries,
     ProblemSpec,
-    _worker_count,
     cosine_coefficients,
     kernel_cosine_transform,
     kernel_cosine_transform_shifted,
@@ -65,20 +64,6 @@ def test_compatibility_defect_formula():
         T0=Poly1((1.625, 1.0), "t"),
     )
     assert pd.compatibility_defect() == 0.0
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.delenv("HEATROBIN_THREADS", raising=False)
-    assert _worker_count() == 1
-    assert _worker_count(4) == 4
-    assert _worker_count(-2) == 1
-    monkeypatch.setenv("HEATROBIN_THREADS", "3")
-    assert _worker_count() == 3
-    assert _worker_count(8) == 3
-    assert _worker_count(2) == 2
-    monkeypatch.setenv("HEATROBIN_THREADS", "not-a-number")
-    assert _worker_count() == 1
-    assert _worker_count(5) == 5
 
 
 def test_solve_rejects_neumann_neumann():
