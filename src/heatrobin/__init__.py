@@ -28,12 +28,9 @@ from .polyalg import (
 )
 from .solver import (
     BOUNDARY_KINDS,
-    CosineHeatSeries,
     ProblemSpec,
     SemiAnalyticSolution,
-    cosine_coefficients,
     kernel_cosine_transform,
-    kernel_cosine_transform_shifted,
     solve_neumann_neumann,
     solve_problem,
 )
@@ -90,12 +87,9 @@ __all__ = [
     "BOUNDARY_KINDS",
     "ProblemSpec",
     "SemiAnalyticSolution",
-    "CosineHeatSeries",
     "solve_problem",
     "solve_neumann_neumann",
-    "cosine_coefficients",
     "kernel_cosine_transform",
-    "kernel_cosine_transform_shifted",
     "GridSolution",
     "VerificationReport",
     "crank_nicolson_reference",

@@ -35,7 +35,7 @@ import numpy as np
 from .extension import ExtensionProfile, ParityError, SingularSystemError
 from .polyalg import Poly1, Poly2
 from .solver import ProblemSpec, SemiAnalyticSolution, solve_problem
-from .spectral import KINDS, EigenSystem, ModalSeries, eigenvalues
+from .spectral import EigenSystem, ModalSeries, eigenvalues
 from .verify import crank_nicolson_reference, residual_report, threshold_rows
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "rebuild_solution", "main"]
@@ -325,8 +325,8 @@ def cmd_verify(config: str, out: str = ".") -> int:
 
 
 def cmd_eigen(kind: str, k: float, nu: float, l: float, n: int) -> int:
-    mapped = {"nr": KINDS[0], "dr": KINDS[1]}.get(kind, kind)
-    if mapped not in KINDS:
+    mapped = _BOUNDARY_ALIASES.get(kind)  # the two Robin kinds only
+    if mapped is None:
         print(f"parameter error: kind must be 'nr' or 'dr', got {kind!r}", file=sys.stderr)
         return 2
     for name, v in (("k", k), ("nu", nu), ("l", l)):

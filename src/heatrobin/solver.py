@@ -19,8 +19,10 @@ the solver builds the solution as poly_part + modal correction:
 5. The remaining initial mismatch mu0 - mu - c_t is expanded in the Robin
    eigenbasis and decays as exp(-sigma_n^2 k t).
 
-The Neumann-Neumann problem on the unit interval with a static source is
-solved separately as a plain cosine series (solve_neumann_neumann).
+The insulated rod (neumann_neumann: u_x = 0 at both ends) on the unit
+interval with a static source needs no polynomial part: solve_neumann_neumann
+projects its data onto the third eigen kind, sigma_n = n*pi, and returns the
+same ModalSeries the Robin solve uses, with a source-memory term.
 """
 
 from __future__ import annotations
@@ -39,19 +41,16 @@ from .extension import (
     matrix_discrepancy_report,
     robin_trace,
 )
-from .polyalg import Poly1, Poly2, trig_poly_integral
+from .polyalg import Poly1, Poly2
 from .spectral import ModalSeries, eigenvalues, evaluate_series, fourier_coeffs
 
 __all__ = [
     "BOUNDARY_KINDS",
     "ProblemSpec",
     "SemiAnalyticSolution",
-    "CosineHeatSeries",
     "solve_problem",
     "solve_neumann_neumann",
-    "cosine_coefficients",
     "kernel_cosine_transform",
-    "kernel_cosine_transform_shifted",
 ]
 
 BOUNDARY_KINDS = ("neumann_robin", "dirichlet_robin", "neumann_neumann")
@@ -98,11 +97,22 @@ class ProblemSpec:
             return float(flux)
         return float(flux + self.nu * (self.mu0(self.l) - self.T0(0.0)))
 
-    def corner_is_compatible(self) -> bool:
-        """Whether the corner defect is zero up to rounding: at most 1e-9 of
-        the data's size at the corner."""
-        scale = 1.0 + abs(self.T0(0.0)) + abs(self.mu0(self.l))
-        return abs(self.compatibility_defect()) <= 1e-9 * scale
+    def incompatible_corners(self) -> dict[str, float]:
+        """Corner defects above rounding (1e-9 of the data's size at their
+        corner), keyed "(0, 0)" and "(l, 0)"; empty for consistent data. The
+        left defect is mu0(0) under the value left end of dirichlet_robin and
+        k*mu0'(0) under a flux left end; the right one is
+        compatibility_defect()."""
+        if self.boundary == "dirichlet_robin":
+            left = float(self.mu0(0.0))
+        else:
+            left = float(self.k * self.mu0.deriv()(0.0))
+        right = self.compatibility_defect()
+        corners = {
+            "(0, 0)": (left, 1.0 + abs(self.mu0(0.0))),
+            "(l, 0)": (right, 1.0 + abs(self.T0(0.0)) + abs(self.mu0(self.l))),
+        }
+        return {name: d for name, (d, scale) in corners.items() if abs(d) > 1e-9 * scale}
 
 
 @dataclass(frozen=True)
@@ -135,7 +145,7 @@ def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> 
     if problem.boundary == "neumann_neumann":
         raise ValueError(
             "solve_problem handles the Robin boundary kinds; "
-            "use solve_neumann_neumann for the cosine-series problem"
+            "use solve_neumann_neumann for the insulated rod"
         )
     k, nu, l = problem.k, problem.nu, problem.l
     parity = "even" if problem.boundary == "neumann_robin" else "odd"
@@ -154,12 +164,15 @@ def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> 
     amplitudes = fourier_coeffs(eigen, residual0)
     modal = ModalSeries(eigen, tuple(amplitudes), offset=c_t, trig=trig)
 
-    defect = problem.compatibility_defect()
     diagnostics = list(profile.warnings)
-    if not problem.corner_is_compatible():
+    formulas = {
+        "(0, 0)": "mu0(0)" if problem.boundary == "dirichlet_robin" else "k*mu0'(0)",
+        "(l, 0)": "k*mu0'(l) + nu*(mu0(l) - T0(0))",
+    }
+    for corner, defect in problem.incompatible_corners().items():
         diagnostics.append(
-            f"initial and boundary data are inconsistent at the corner (l, 0): "
-            f"defect k*mu0'(l) + nu*(mu0(l) - T0(0)) = {defect!r}; the correction "
+            f"initial and boundary data are inconsistent at the corner {corner}: "
+            f"defect {formulas[corner]} = {defect!r}; the correction "
             f"series absorbs the jump in the L2 sense but pointwise accuracy "
             f"near t = 0 degrades"
         )
@@ -171,101 +184,19 @@ def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> 
         modal=modal,
         profile=profile,
         problem=problem,
-        compatibility_defect=defect,
+        compatibility_defect=problem.compatibility_defect(),
         diagnostics=tuple(diagnostics),
     )
 
 
-def cosine_coefficients(data, n_max: int) -> np.ndarray:
-    """Cosine-basis coefficients on [0, 1]: index 0 is the mean, index n is
-    2 * integral of data(x) * cos(n pi x).
-
-    `data` may be a Poly1 in x (coefficients computed exactly) or an already
-    expanded coefficient sequence (padded/truncated to n_max entries).
-    """
-    if isinstance(data, Poly1):
-        if data.coeffs and data.variable != "x":
-            raise ValueError("data must be a polynomial in x")
-        out = np.zeros(n_max)
-        if data.is_zero():
-            return out
-        out[0] = data.integral(0.0, 1.0)
-        for n in range(1, n_max):
-            sgn = 1.0 if n % 2 == 0 else -1.0
-            acc = 0.0
-            for m, c in enumerate(data.coeffs):
-                if c != 0.0:
-                    acc += c * trig_poly_integral(m, n * math.pi, 1.0, "cos", sin_l=0.0, cos_l=sgn)
-            out[n] = 2.0 * acc
-        return out
-    seq = np.asarray([float(v) for v in data], dtype=float)
-    out = np.zeros(n_max)
-    out[: min(n_max, seq.size)] = seq[:n_max]
-    return out
-
-
-@dataclass(frozen=True)
-class CosineHeatSeries:
-    """Neumann-Neumann solution on the unit interval as a cosine series.
-
-    u(x,t) = sum_n initial[n] * exp(-n^2 pi^2 k t) * cos(n pi x)
-           + source[0] * t
-           + sum_{n>=1} source[n] * (1 - exp(-n^2 pi^2 k t)) / (n^2 pi^2 k) * cos(n pi x)
-
-    where initial/source are cosine coefficients of u(.,0) and the static
-    source f(x). The n = 0 source term is the t factor (limit of the damped
-    ratio as the rate goes to zero).
-    """
-
-    k: float
-    initial: tuple[float, ...]
-    source: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        object.__setattr__(self, "initial", tuple(float(v) for v in self.initial))
-        object.__setattr__(self, "source", tuple(float(v) for v in self.source))
-
-    @property
-    def n_terms(self) -> int:
-        return max(len(self.initial), len(self.source))
-
-    def grid(self, xs, ts) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        n = np.arange(self.n_terms)
-        a = np.zeros(self.n_terms)
-        b = np.zeros(self.n_terms)
-        a[: len(self.initial)] = self.initial
-        b[: len(self.source)] = self.source
-        rates = (n * math.pi) ** 2 * self.k  # rate 0 for n = 0
-        decay = np.exp(-np.outer(ts, rates))  # (nt, n)
-        amps = a * decay
-        with np.errstate(divide="ignore", invalid="ignore"):
-            damped = np.where(rates > 0.0, (1.0 - decay) / rates, 0.0)
-        amps = amps + b * damped
-        amps[:, 0] += b[0] * ts
-        cosmat = np.cos(np.outer(n * math.pi, xs))  # (n, nx)
-        return amps @ cosmat
-
-    def __call__(self, x: float, t: float) -> float:
-        return float(self.grid([x], [t])[0, 0])
-
-
-def solve_neumann_neumann(f, mu0, k: float, n_max: int = 64) -> CosineHeatSeries:
-    """Cosine-series solution of u_t = k u_xx + f(x) on (0,1) with insulated
-    ends u_x(0,t) = u_x(1,t) = 0 and u(x,0) = mu0(x).
-
-    f and mu0 may each be a Poly1 in x or a ready cosine-coefficient sequence.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    return CosineHeatSeries(
-        float(k),
-        tuple(cosine_coefficients(mu0, n_max)),
-        tuple(cosine_coefficients(f, n_max)),
-    )
+def solve_neumann_neumann(f: Poly1, mu0: Poly1, k: float, n_max: int = 64) -> ModalSeries:
+    """Solution of u_t = k u_xx + f(x) on (0,1) with insulated ends
+    u_x(0,t) = u_x(1,t) = 0 and u(x,0) = mu0(x), as the neumann_neumann
+    ModalSeries: mu0 projects onto its amplitudes and the static source f
+    onto its source-memory amplitudes (both Poly1 in x, projected exactly)."""
+    eigen = eigenvalues("neumann_neumann", k, 1.0, 1.0, n_max)
+    amplitudes = tuple(fourier_coeffs(eigen, mu0))
+    return ModalSeries(eigen, amplitudes, source=tuple(fourier_coeffs(eigen, f)))
 
 
 def kernel_cosine_transform(n: int, k: float, t: float) -> float:
@@ -277,9 +208,3 @@ def kernel_cosine_transform(n: int, k: float, t: float) -> float:
     if k <= 0:
         raise ValueError("k must be positive")
     return math.exp(-((n * math.pi) ** 2) * k * t)
-
-
-def kernel_cosine_transform_shifted(n: int, k: float, t: float, x: float) -> float:
-    """Shifted identity: the same transform against the kernel centered at x
-    equals cos(n pi x) * exp(-n^2 pi^2 k t)."""
-    return math.cos(n * math.pi * x) * kernel_cosine_transform(n, k, t)

@@ -2,13 +2,18 @@
 Fourier coefficients against the resulting trigonometric families, and
 truncated evaluation of the exponentially damped correction series.
 
-Two boundary kinds are supported on (0, l) with diffusivity k and Robin
+Three boundary kinds are supported on (0, l) with diffusivity k and Robin
 coefficient nu:
 
 * neumann_robin:    roots sigma of  k*sigma*tan(sigma*l) = nu,
   one per bracket (m*pi/l, (m+1/2)*pi/l), m = 0, 1, 2, ...
 * dirichlet_robin:  roots sigma of  k*sigma = -nu*tan(sigma*l),
   one per bracket ((m-1/2)*pi/l, m*pi/l), m = 1, 2, ...
+* neumann_neumann:  the insulated rod, sigma = m*pi/l exactly, m = 0, 1, ...
+  (offsets and residuals 0; nu is stored but not used).
+
+All three expand into one ModalSeries, evaluated by one damped-amplitude
+helper; the insulated rod adds the memory of a static source.
 
 Roots are found in a reduced variable that stays away from the tangent
 poles, which lets the defining-equation residual be evaluated to machine
@@ -41,17 +46,18 @@ __all__ = [
     "evaluate_series_info",
 ]
 
-KINDS = ("neumann_robin", "dirichlet_robin")
+KINDS = ("neumann_robin", "dirichlet_robin", "neumann_neumann")
 
 
 @dataclass(frozen=True)
 class EigenSystem:
     """Increasing eigenvalue roots with their brackets and residuals.
 
-    `indices[n]` is the bracket index m of root n (0-based for neumann_robin,
-    1-based for dirichlet_robin); `offsets[n]` is the distance of sigma*l
-    above the bracket's lower edge, in (0, pi/2): sigma*l = m*pi + offset
-    (neumann_robin) or (m - 1/2)*pi + offset (dirichlet_robin).
+    `indices[n]` is the bracket index m of root n (0-based for neumann_robin
+    and neumann_neumann, 1-based for dirichlet_robin); `offsets[n]` is the
+    distance of sigma*l above the bracket's lower edge, in (0, pi/2):
+    sigma*l = m*pi + offset (neumann_robin; offset 0 for neumann_neumann) or
+    (m - 1/2)*pi + offset (dirichlet_robin).
     `residuals[n]` is the defining-equation residual evaluated in the reduced
     variable (for dirichlet_robin, of the pole-free form
     k*sigma*sin(offset) - nu*cos(offset)).
@@ -76,7 +82,7 @@ class EigenSystem:
         m = np.asarray(self.indices)
         th = np.asarray(self.offsets)
         sign = np.where(m % 2 == 0, 1.0, -1.0)
-        if self.kind == "neumann_robin":
+        if self.kind != "dirichlet_robin":
             return sign * np.sin(th)
         return -sign * np.cos(th)
 
@@ -85,14 +91,17 @@ class EigenSystem:
         m = np.asarray(self.indices)
         th = np.asarray(self.offsets)
         sign = np.where(m % 2 == 0, 1.0, -1.0)
-        if self.kind == "neumann_robin":
+        if self.kind != "dirichlet_robin":
             return sign * np.cos(th)
         return sign * np.sin(th)
 
     def norms(self) -> np.ndarray:
         """L2 norms squared of the trigonometric family over [0, l]:
         (nu*l + k*sin^2(sigma*l)) / (2*nu) for neumann_robin (cosines),
-        (nu*l + k*cos^2(sigma*l)) / (2*nu) for dirichlet_robin (sines)."""
+        (nu*l + k*cos^2(sigma*l)) / (2*nu) for dirichlet_robin (sines),
+        l for sigma = 0 and l/2 otherwise for neumann_neumann (cosines)."""
+        if self.kind == "neumann_neumann":
+            return np.where(np.asarray(self.roots) == 0.0, self.l, 0.5 * self.l)
         if self.kind == "neumann_robin":
             trig_l = self.sin_at_l()
         else:
@@ -158,7 +167,8 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
 
     Each bracket contains exactly one root for positive parameters, so the
     bisection cannot fail; Newton steps are rejected whenever they leave the
-    bracket.
+    bracket. The neumann_neumann roots m*pi/l need no search; their
+    brackets collapse onto them.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -166,16 +176,17 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
         raise ValueError("k, nu, l must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    first = 0 if kind == "neumann_robin" else 1
+    first = 1 if kind == "dirichlet_robin" else 0
     indices, offsets, roots, residuals, brackets = [], [], [], [], []
     for m in range(first, first + n_max):
-        th, res = _find_root(kind, k, nu, l, m)
-        if kind == "neumann_robin":
-            sigma = (m * math.pi + th) / l
-            brackets.append((m * math.pi / l, (m + 0.5) * math.pi / l))
-        else:
+        th, res = (0.0, 0.0) if kind == "neumann_neumann" else _find_root(kind, k, nu, l, m)
+        if kind == "dirichlet_robin":
             sigma = ((m - 0.5) * math.pi + th) / l
             brackets.append(((m - 0.5) * math.pi / l, m * math.pi / l))
+        else:
+            sigma = (m * math.pi + th) / l
+            width = 0.5 if kind == "neumann_robin" else 0.0
+            brackets.append((m * math.pi / l, (m + width) * math.pi / l))
         indices.append(m)
         offsets.append(th)
         roots.append(sigma)
@@ -198,20 +209,30 @@ _TRIG = {"cos": np.cos, "sin": np.sin}
 
 @dataclass(frozen=True)
 class ModalSeries:
-    """Truncated correction series sum_n amplitudes[n] * exp(-sigma_n^2 k t)
-    * trig(sigma_n x), plus a constant offset."""
+    """Truncated series sum_n w_n(t) * trig(sigma_n x) plus a constant offset,
+    where, with lam_n = sigma_n^2 k,
+
+        w_n(t) = amplitudes[n] * exp(-lam_n t) + source[n] * (1 - exp(-lam_n t)) / lam_n
+
+    and the source memory is source[n] * t where lam_n = 0. `source` holds
+    the modal amplitudes of a static source; it is empty for the Robin
+    correction series."""
 
     eigen: EigenSystem
     amplitudes: tuple[float, ...]
     offset: float = 0.0
     trig: str = "cos"
+    source: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.trig not in _TRIG:
             raise ValueError(f"trig must be 'cos' or 'sin', got {self.trig!r}")
         if len(self.amplitudes) != self.eigen.n_terms:
             raise ValueError("one amplitude per eigenvalue is required")
+        if self.source and len(self.source) != self.eigen.n_terms:
+            raise ValueError("source needs one amplitude per eigenvalue, or none")
         object.__setattr__(self, "amplitudes", tuple(float(v) for v in self.amplitudes))
+        object.__setattr__(self, "source", tuple(float(v) for v in self.source))
 
     @property
     def n_terms(self) -> int:
@@ -237,9 +258,16 @@ class ModalSeries:
 
 
 def _damped_amplitudes(series: ModalSeries, ts: np.ndarray) -> np.ndarray:
-    """amplitudes[n] * exp(-sigma_n^2 k t) for every t in ts, shape (len(ts), n)."""
+    """The weights w_n(t) of ModalSeries for every t in ts, shape (len(ts), n)."""
     sig = np.asarray(series.eigen.roots)
-    return np.exp(-np.outer(ts, sig * sig * series.eigen.k)) * np.asarray(series.amplitudes)
+    rates = sig * sig * series.eigen.k
+    decay = np.exp(-np.outer(ts, rates))
+    out = decay * np.asarray(series.amplitudes)
+    if series.source:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            memory = np.where(rates > 0.0, (1.0 - decay) / rates, ts[:, None])
+        out = out + memory * np.asarray(series.source)
+    return out
 
 
 @dataclass(frozen=True)
@@ -255,8 +283,11 @@ class SeriesValue:
 def _beyond_stored_bound(series: ModalSeries, t: float) -> float:
     """Geometric bound on the tail past the stored terms, using the bracket
     lower edges sigma_n >= (first + n) * pi / l (shifted by -1/2 for the
-    dirichlet_robin indexing) and the largest stored amplitude as envelope."""
+    dirichlet_robin indexing) and the largest stored amplitude as envelope.
+    A non-zero source does not decay, so its tail is never bounded."""
     eig = series.eigen
+    if any(series.source):
+        return math.inf
     if not series.amplitudes:
         return 0.0
     env = max(abs(a) for a in series.amplitudes)
@@ -314,13 +345,15 @@ def fourier_coeffs(eigen: EigenSystem, residual_initial: Poly1) -> np.ndarray:
 
     neumann_robin:   b_n = 2*nu / (nu*l + k*sin^2(sigma_n l)) * int_0^l r(x) cos(sigma_n x) dx
     dirichlet_robin: b_n = 2*nu / (nu*l + k*cos^2(sigma_n l)) * int_0^l r(x) sin(sigma_n x) dx
+    neumann_neumann: b_n = 2/l * int_0^l r(x) cos(sigma_n x) dx, and b_0 = int_0^l r(x) dx / l
 
-    The integrals are exact (trig_poly_integral); sin/cos at the boundary are
-    taken from the stable reduced offsets.
+    The integrals are exact (trig_poly_integral, or the plain integral for
+    the mean); sin/cos at the boundary are taken from the stable reduced
+    offsets.
     """
     if residual_initial.coeffs and residual_initial.variable != "x":
         raise ValueError("residual_initial must be a polynomial in x")
-    kind = "cos" if eigen.kind == "neumann_robin" else "sin"
+    kind = "sin" if eigen.kind == "dirichlet_robin" else "cos"
     sin_l = eigen.sin_at_l()
     cos_l = eigen.cos_at_l()
     norms = eigen.norms()
@@ -329,6 +362,9 @@ def fourier_coeffs(eigen: EigenSystem, residual_initial: Poly1) -> np.ndarray:
     if not coeffs:
         return out
     for n, sigma in enumerate(eigen.roots):
+        if sigma == 0.0:
+            out[n] = residual_initial.integral(0.0, eigen.l) / norms[n]
+            continue
         acc = 0.0
         for m, c in enumerate(coeffs):
             if c != 0.0:

@@ -123,10 +123,10 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
 
     Neumann and Robin ends use ghost points eliminated through the boundary
     relation. The source is sampled at the half step. For data consistent at
-    the corner (l, 0) every output interval is one step, and the scheme is
-    second order in both h and dt.
+    both corners, (0, 0) and (l, 0), every output interval is one step, and
+    the scheme is second order in both h and dt.
 
-    Corner-incompatible data make the solution non-smooth at (l, 0), and
+    Corner-incompatible data make the solution non-smooth at that corner, and
     Crank-Nicolson does not damp the grid modes that the mismatch excites,
     so uniform steps leave an error of a few percent at t = 0.01 (5.5e-2 on
     the 400^2 grid of configs/ex3.json). Those data get a graded start
@@ -191,7 +191,7 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
     values = np.empty((K + 1, M + 1))
     values[0] = problem.mu0(xs)
     u = values[0].copy()
-    graded = not problem.corner_is_compatible()
+    graded = bool(problem.incompatible_corners())
     for n, substeps in enumerate(_substeps(ts, dt, graded)):
         for t0, t1, tau, theta in substeps:
             u = step(u, t0, t1, tau, theta)
@@ -360,13 +360,14 @@ def two_forms_check(f, mu0, k: float, xs=None, ts=None, n_max: int = 24) -> floa
     """Max grid difference between the two independent realizations of the
     insulated-rod solution.
 
-    Form one is the damped cosine series evaluated with exact exponentials.
-    Form two replaces every exponential with the Gaussian-transform
-    quadrature: the decay factor exp(-n^2 pi^2 k t) becomes the transform at
-    omega = n pi sqrt(4kt), and the source memory integral of that factor is
-    computed by Gauss-Legendre panels after the substitution
-    s = omega^2 / (4 k n^2 pi^2). Both forms share one truncated mode set, so
-    the difference isolates the transform identity.
+    Form one is the neumann_neumann ModalSeries from solve_neumann_neumann,
+    evaluated by ModalSeries.grid with exact exponentials. Form two takes
+    its `amplitudes` and `source` and replaces every exponential with the
+    Gaussian-transform quadrature: the decay factor exp(-n^2 pi^2 k t)
+    becomes the transform at omega = n pi sqrt(4kt), and the source memory
+    integral of that factor is computed by Gauss-Legendre panels after the
+    substitution s = omega^2 / (4 k n^2 pi^2). Both forms share one
+    truncated mode set, so the difference isolates the transform identity.
     """
     if xs is None:
         xs = np.linspace(0.0, 1.0, 21)
@@ -378,7 +379,7 @@ def two_forms_check(f, mu0, k: float, xs=None, ts=None, n_max: int = 24) -> floa
     series = solve_neumann_neumann(f, mu0, k, n_max)
     form_a = series.grid(xs, ts)
 
-    a = np.asarray(series.initial)
+    a = np.asarray(series.amplitudes)
     b = np.asarray(series.source)
     modes = np.arange(n_max)
     cosmat = np.cos(np.outer(modes * math.pi, xs))

@@ -171,6 +171,35 @@ def test_verify_flags_incompatible_corner_case(tmp_path):
     assert (tmp_path / "verify_report.json").exists()
 
 
+LEFT_CORNER_MISMATCHES = {
+    # mu0(0) = 1 against the fixed-zero left end; right corner matched
+    "dirichlet_robin": {
+        "k": 0.5, "nu": 0.8, "l": 1.0, "T": 1.0, "boundary": "dirichlet_robin",
+        "mu0": [1, 1], "F": [[0], [1, 1]], "T0": [2.625, 1],
+    },
+    # mu0'(0) = 0.5 against the insulated left end; right corner matched
+    "neumann_robin": {
+        "k": 0.25, "nu": 0.5, "l": 1.0, "T": 1.0, "boundary": "neumann_robin",
+        "mu0": [1, 0.5, -0.25], "F": [[1, 1]], "T0": [1.25, 1],
+    },
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(LEFT_CORNER_MISMATCHES))
+def test_verify_certifies_left_corner_mismatch(tmp_path, boundary):
+    # a defect at (0, 0) alone is diagnosed and gets the graded-start oracle
+    # (gap 6.1e-4 and 1.3e-5 at 200^2; the uniform start read 9.1e-2 and 3.1e-3)
+    payload = {**LEFT_CORNER_MISMATCHES[boundary], "grid": {"M": 200, "K": 200}}
+    proc = _run("verify", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+    assert "inconsistent at the corner (0, 0)" in proc.stdout
+    assert "(l, 0)" not in proc.stdout
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert rep["verification"]["oracle_max_diff"] < 1e-3
+    assert rep["compatibility_defect"] == 0.0
+
+
 def test_verify_exits_1_when_a_bound_fails(tmp_path):
     # at 50^2 the oracle's own error (gap 3.5e-3) exceeds the 1e-3 bound
     payload = {**INCOMPATIBLE, "grid": {"M": 50, "K": 50}}
@@ -214,6 +243,7 @@ def test_eigen_table_matches_library():
         (("--kind", "robin", "--k", "1", "--nu", "1", "--l", "1"), "kind"),
         (("--kind", "nr", "--k", "-1", "--nu", "1", "--l", "1"), "k must be"),
         (("--kind", "nr", "--k", "1", "--nu", "1", "--l", "1", "-n", "0"), "n must be"),
+        (("--kind", "neumann_neumann", "--k", "1", "--nu", "1", "--l", "1"), "kind"),
     ],
 )
 def test_eigen_rejects_bad_parameters(args, fragment):

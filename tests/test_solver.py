@@ -4,18 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from heatrobin.polyalg import Poly1, Poly2
 from heatrobin.solver import (
-    CosineHeatSeries,
     ProblemSpec,
-    cosine_coefficients,
     kernel_cosine_transform,
-    kernel_cosine_transform_shifted,
     solve_neumann_neumann,
     solve_problem,
 )
+from heatrobin.spectral import ModalSeries, eigenvalues, evaluate_series
 from heatrobin.verify import crank_nicolson_reference
 
 
@@ -183,30 +180,11 @@ def test_solution_is_linear_in_the_data():
     assert np.max(np.abs(apart - together)) < 1e-9
 
 
-def test_cosine_coefficients_polynomial_exact():
-    coeffs = cosine_coefficients(Poly1((0.0, 1.0), "x"), 6)
-    assert abs(coeffs[0] - 0.5) < 1e-15
-    for n in range(1, 6):
-        want = 2.0 * ((-1.0) ** n - 1.0) / (n * math.pi) ** 2
-        assert abs(coeffs[n] - want) < 1e-14, n
-    assert abs(coeffs[1] - (-0.40528473456935105)) < 1e-14
-    assert coeffs[2] == pytest.approx(0.0, abs=1e-15)
-    assert abs(coeffs[3] - (-0.045031637174372335)) < 1e-14
-    num, _ = quad(lambda x: 2.0 * x * math.cos(math.pi * x), 0.0, 1.0)
-    assert abs(coeffs[1] - num) < 1e-13
-
-
-def test_cosine_coefficients_sequence_passthrough():
-    out = cosine_coefficients([1.0, 2.0, 3.0], 5)
-    assert np.array_equal(out, [1.0, 2.0, 3.0, 0.0, 0.0])
-    out = cosine_coefficients([1.0, 2.0, 3.0], 2)
-    assert np.array_equal(out, [1.0, 2.0])
-    with pytest.raises(ValueError, match="in x"):
-        cosine_coefficients(Poly1((0.0, 1.0), "t"), 4)
-
-
 def test_cosine_series_closed_form_terms():
-    ser = CosineHeatSeries(0.5, (0.2, 0.3), (0.4, 0.5))
+    # the insulated rod's series: a decaying and a source-memory amplitude per
+    # mode, the memory of the n = 0 mode growing linearly in t
+    eig = eigenvalues("neumann_neumann", 0.5, 1.0, 1.0, 2)
+    ser = ModalSeries(eig, (0.2, 0.3), source=(0.4, 0.5))
     x, t = 0.3, 0.7
     rate = math.pi**2 * 0.5
     want = (
@@ -215,12 +193,12 @@ def test_cosine_series_closed_form_terms():
         + (0.3 * math.exp(-rate * t) + 0.5 * (1.0 - math.exp(-rate * t)) / rate)
         * math.cos(math.pi * x)
     )
-    assert abs(ser(x, t) - want) < 1e-14
+    assert abs(evaluate_series(ser, x, t) - want) < 1e-14
     g = ser.grid([x], [t])
     assert g.shape == (1, 1)
     assert abs(g[0, 0] - want) < 1e-14
     with pytest.raises(ValueError, match="positive"):
-        CosineHeatSeries(0.0, (1.0,), (0.0,))
+        solve_neumann_neumann(Poly1((), "x"), Poly1((1.0,), "x"), 0.0)
 
 
 def test_insulated_rod_conserves_mean_and_flux():
@@ -228,6 +206,7 @@ def test_insulated_rod_conserves_mean_and_flux():
     # spatial mean stays at its initial value 1/2
     mu0 = Poly1((0.0, 0.0, 3.0, -2.0), "x")
     ser = solve_neumann_neumann(Poly1((), "x"), mu0, 0.5, n_max=48)
+    assert isinstance(ser, ModalSeries) and ser.eigen.kind == "neumann_neumann"
     xs = np.linspace(0.0, 1.0, 201)
     for t in (0.05, 0.4, 2.0):
         row = ser.grid(xs, [t])[0]
@@ -263,9 +242,6 @@ def test_insulated_rod_matches_finite_difference():
 def test_kernel_transform_closed_form():
     assert kernel_cosine_transform(0, 1.0, 0.5) == 1.0
     assert abs(kernel_cosine_transform(2, 0.25, 0.1) - math.exp(-4 * math.pi**2 * 0.025)) < 1e-15
-    got = kernel_cosine_transform_shifted(3, 0.25, 0.2, 0.4)
-    want = math.cos(3 * math.pi * 0.4) * math.exp(-9 * math.pi**2 * 0.05)
-    assert abs(got - want) < 1e-15
     with pytest.raises(ValueError, match="t must be"):
         kernel_cosine_transform(1, 1.0, 0.0)
     with pytest.raises(ValueError, match="k must be"):

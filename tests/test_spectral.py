@@ -72,7 +72,7 @@ def test_bracket_and_offset_invariants():
 def test_boundary_trig_tables_match_direct_evaluation():
     # moderate arguments, where plain sin/cos are reliable: the shifted
     # stable formulas must agree, signs included
-    for kind in ("neumann_robin", "dirichlet_robin"):
+    for kind in ("neumann_robin", "dirichlet_robin", "neumann_neumann"):
         eig = eigenvalues(kind, 1.0, 1.0, 1.0, 10)
         s_direct = np.sin(np.asarray(eig.roots) * eig.l)
         c_direct = np.cos(np.asarray(eig.roots) * eig.l)
@@ -81,7 +81,11 @@ def test_boundary_trig_tables_match_direct_evaluation():
 
 
 def test_norms_match_quadrature():
-    for kind, trig in (("neumann_robin", math.cos), ("dirichlet_robin", math.sin)):
+    for kind, trig in (
+        ("neumann_robin", math.cos),
+        ("dirichlet_robin", math.sin),
+        ("neumann_neumann", math.cos),
+    ):
         eig = eigenvalues(kind, 0.5, 0.8, 1.2, 5)
         norms = eig.norms()
         for n, sigma in enumerate(eig.roots):
@@ -142,6 +146,10 @@ def test_modal_series_validation():
         ModalSeries(eig, (1.0, 2.0))
     ser = ModalSeries(eig, (1.0, -2.0, 0.5), offset=0.25)
     assert ser.n_terms == 3
+    assert ser.source == ()
+    with pytest.raises(ValueError, match="source"):
+        ModalSeries(eig, (1.0, -2.0, 0.5), source=(1.0, 2.0))
+    assert ModalSeries(eig, (1.0, -2.0, 0.5), source=(1, 2, 3)).source == (1.0, 2.0, 3.0)
 
 
 def test_series_truncation_respects_tolerance():
@@ -261,3 +269,52 @@ def test_evaluate_series_agrees_with_grid():
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
             assert abs(evaluate_series(ser, x, t, tol=1e-300) - g[i, j]) < 1e-13
+
+
+def test_neumann_neumann_coefficients_polynomial_exact():
+    eig = eigenvalues("neumann_neumann", 1.0, 1.0, 1.0, 6)
+    coeffs = fourier_coeffs(eig, Poly1((0.0, 1.0), "x"))
+    assert abs(coeffs[0] - 0.5) < 1e-15
+    for n in range(1, 6):
+        want = 2.0 * ((-1.0) ** n - 1.0) / (n * math.pi) ** 2
+        assert abs(coeffs[n] - want) < 1e-14, n
+    assert abs(coeffs[1] - (-0.40528473456935105)) < 1e-14
+    assert coeffs[2] == pytest.approx(0.0, abs=1e-15)
+    assert abs(coeffs[3] - (-0.045031637174372335)) < 1e-14
+    num, _ = quad(lambda x: 2.0 * x * math.cos(math.pi * x), 0.0, 1.0)
+    assert abs(coeffs[1] - num) < 1e-13
+    with pytest.raises(ValueError, match="in x"):
+        fourier_coeffs(eig, Poly1((0.0, 1.0), "t"))
+
+
+def test_neumann_neumann_series_certifies_its_tail():
+    # the insulated rod's roots sit exactly on the lattice n*pi/l, so the
+    # geometric bound past the stored terms holds for any l
+    k, l = 0.3, 2.0
+    eig = eigenvalues("neumann_neumann", k, 1.0, l, 24)
+    assert eig.roots == tuple(n * math.pi / l for n in range(24))
+    assert eig.offsets == (0.0,) * 24 and eig.residuals == (0.0,) * 24
+    ser = ModalSeries(eig, tuple(fourier_coeffs(eig, Poly1((1.0, 0.0, -0.5, 0.2), "x"))))
+    xs = [0.0, 0.7, l]
+    ts = [0.1, 0.5]
+    g = ser.grid(xs, ts)
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
+            info = evaluate_series_info(ser, x, t, tol=1e-10)
+            assert info.tail_verified and info.tail_bound < 1e-10, (x, t)
+            assert abs(info.value - g[i, j]) < 1e-10, (x, t)
+            assert abs(evaluate_series(ser, x, t, tol=1e-300) - g[i, j]) < 1e-13
+
+
+def test_source_memory_is_never_certified():
+    eig = eigenvalues("neumann_neumann", 0.5, 1.0, 1.0, 8)
+    amps = tuple(0.5**n for n in range(8))
+    forced = ModalSeries(eig, amps, source=(0.0, 0.0, 1e-3) + (0.0,) * 5)
+    assert _beyond_stored_bound(forced, 1.0) == math.inf
+    info = evaluate_series_info(forced, 0.4, 1.0)
+    assert not info.tail_verified
+    assert info.terms_used == 8
+    assert abs(info.value - forced.grid([0.4], [1.0])[0, 0]) < 1e-14
+    # an all-zero source is no source
+    unforced = ModalSeries(eig, amps, source=(0.0,) * 8)
+    assert evaluate_series_info(unforced, 0.4, 1.0).tail_verified
