@@ -169,11 +169,19 @@ def load_config(path: str) -> RunConfig:
 
 
 def _write_csv(path: Path, xs: np.ndarray, ts: np.ndarray, grid: np.ndarray) -> None:
-    lines = ["x,t,u"]
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            lines.append(f"{float(x)!r},{float(t)!r},{float(grid[i, j])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    """Stream the x,t,u rows, time-major, one grid row at a time.
+
+    Each coordinate is formatted once. Values go through `tolist()` so that
+    `repr` sees Python floats (shortest round-trip digits), not numpy scalars.
+    `Path.open("w")` uses the same encoding and newline handling as
+    `Path.write_text`."""
+    x_strs = [repr(x) for x in np.asarray(xs, dtype=float).tolist()]
+    values = np.asarray(grid, dtype=float)
+    with path.open("w") as fh:
+        fh.write("x,t,u\n")
+        for t, row in zip(np.asarray(ts, dtype=float).tolist(), values):
+            mid = f",{t!r},"
+            fh.write("".join([f"{x}{mid}{u}\n" for x, u in zip(x_strs, map(repr, row.tolist()))]))
 
 
 def _report_dict(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> dict:

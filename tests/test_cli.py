@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,47 @@ def test_report_rebuild_regenerates_identical_csv(tmp_path):
     ts = np.linspace(0.0, report["config"]["T"], grid_cfg["K"] + 1)
     cli._write_csv(tmp_path / "again.csv", xs, ts, sol.on_grid(xs, ts))
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "solution.csv").read_bytes()
+
+
+def _f_string_writer(path, xs, ts, grid):
+    # the per-point f-string writer the streaming _write_csv replaced
+    lines = ["x,t,u"]
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
+            lines.append(f"{float(x)!r},{float(t)!r},{float(grid[i, j])!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+AWKWARD = (-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, -1.5e-7, math.nan, math.inf, -math.inf)
+
+
+def test_write_csv_repeats_the_f_string_writer_byte_for_byte(tmp_path):
+    xs = np.linspace(0.0, 1.3, 37)
+    ts = np.linspace(0.0, 2.7, 23)
+    smooth = np.random.default_rng(5).standard_normal((ts.size, xs.size))
+    awkward = np.resize(np.array(AWKWARD), (ts.size, xs.size))
+    for name, grid in (("smooth", smooth), ("awkward", awkward)):
+        cli._write_csv(tmp_path / f"{name}.csv", xs, ts, grid)
+        _f_string_writer(tmp_path / f"{name}_ref.csv", xs, ts, grid)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    awkward_rows = (tmp_path / "awkward.csv").read_bytes()
+    for tail in (b",nan\n", b",-inf\n", b",5e-324\n", b",-0.0\n"):
+        assert tail in awkward_rows, tail
+
+
+def test_write_csv_streams_rows(tmp_path):
+    # building the whole text first peaks at about 26 MB here
+    xs = np.linspace(0.0, 1.0, 401)
+    ts = np.linspace(0.0, 1.0, 401)
+    grid = np.random.default_rng(6).standard_normal((ts.size, xs.size))
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "solution.csv", xs, ts, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_solve_is_deterministic_across_runs(tmp_path):

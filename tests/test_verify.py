@@ -13,7 +13,7 @@ from heatrobin.spectral import ModalSeries
 from heatrobin.verify import (
     GridSolution,
     _substeps,
-    _thomas,
+    _tridiagonal_solver,
     crank_nicolson_reference,
     gaussian_cosine_transform,
     kernel_cosine_transform_quadrature,
@@ -55,6 +55,11 @@ def test_grid_solution_shape_checked():
     assert g.values.shape == (3, 5)
     with pytest.raises(ValueError, match="shape"):
         GridSolution(xs, ts, np.zeros((5, 3)))
+
+
+def _thomas(lower, diag, upper, rhs):
+    # one factor-and-solve through the oracle's tridiagonal solver
+    return np.array(_tridiagonal_solver(lower, diag, upper)(np.asarray(rhs, float).tolist()))
 
 
 def test_thomas_matches_dense_solver():
@@ -233,6 +238,12 @@ def test_gaussian_cosine_transform_closed_form():
         assert abs(gaussian_cosine_transform(omega) - math.exp(-omega**2 / 4.0)) < 1e-14
     for omega in (20.0, 40.0, 100.0):
         assert abs(gaussian_cosine_transform(omega)) < 1e-10
+    # an array shares the step of its largest |omega|: same values, one call
+    omegas = np.array([[0.0, -0.5, 2.0], [6.0, 12.0, 100.0]])
+    got = gaussian_cosine_transform(omegas)
+    assert got.shape == omegas.shape
+    assert np.max(np.abs(got - np.exp(-omegas**2 / 4.0))) < 1e-14
+    assert type(gaussian_cosine_transform(np.float64(2.0))) is float
 
 
 def test_kernel_quadrature_matches_closed_form():
