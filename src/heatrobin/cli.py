@@ -255,7 +255,7 @@ def rebuild_solution(report: dict) -> SemiAnalyticSolution:
         tuple(tuple(b) for b in e["brackets"]),
     )
     m = report["modal"]
-    modal = ModalSeries(eigen, tuple(m["amplitudes"]), m["offset"], m["trig"])
+    modal = ModalSeries(eigen, tuple(m["amplitudes"]), m["offset"])
     return SemiAnalyticSolution(
         poly_part=poly_part,
         modal=modal,

@@ -42,6 +42,7 @@ from .extension import (
     robin_trace,
 )
 from .polyalg import Poly1, Poly2
+from .spectral import KINDS as BOUNDARY_KINDS
 from .spectral import ModalSeries, eigenvalues, evaluate_series, fourier_coeffs
 
 __all__ = [
@@ -52,9 +53,6 @@ __all__ = [
     "solve_neumann_neumann",
     "kernel_cosine_transform",
 ]
-
-BOUNDARY_KINDS = ("neumann_robin", "dirichlet_robin", "neumann_neumann")
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -149,7 +147,6 @@ def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> 
         )
     k, nu, l = problem.k, problem.nu, problem.l
     parity = "even" if problem.boundary == "neumann_robin" else "odd"
-    trig = "cos" if parity == "even" else "sin"
 
     u_p = duhamel_poly(problem.F, k, parity)
     target = problem.T0 - robin_trace(u_p, k, nu, l)
@@ -162,7 +159,7 @@ def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> 
     residual0 = problem.mu0 - profile.mu_poly() - c_t
     eigen = eigenvalues(problem.boundary, k, nu, l, n_max)
     amplitudes = fourier_coeffs(eigen, residual0)
-    modal = ModalSeries(eigen, tuple(amplitudes), offset=c_t, trig=trig)
+    modal = ModalSeries(eigen, tuple(amplitudes), offset=c_t)
 
     diagnostics = list(profile.warnings)
     formulas = {

@@ -15,16 +15,16 @@ coefficient nu:
 All three expand into one ModalSeries, evaluated by one damped-amplitude
 helper; the insulated rod adds the memory of a static source.
 
-Roots are found in a reduced variable that stays away from the tangent
-poles, which lets the defining-equation residual be evaluated to machine
-precision even for large roots (evaluating tan(sigma*l) directly at
-sigma*l ~ 150 cannot get below ~1e-12 in double precision):
+Roots are found in the offset theta = sigma*l - base from the bracket's
+lower edge, base = m*pi (neumann_robin) or (m - 1/2)*pi (dirichlet_robin),
+where both conditions, cleared of their tangent and cotangent, read
 
-* neumann_robin roots approach pi-multiples, so the variable is
-  theta = sigma*l - m*pi and the equation is k*sigma*tan(theta) = nu.
-* dirichlet_robin roots approach HALF-multiples, so the variable is
-  phi = sigma*l - (m - 1/2)*pi and the equation, cleared of the cotangent,
-  is k*sigma*sin(phi) = nu*cos(phi) (same zeros, no poles).
+    k*(base + theta)/l * sin(theta) - nu*cos(theta) = 0,   0 < theta < pi/2.
+
+This form has no poles, so its residual is evaluated to machine precision
+for large roots (tan(sigma*l) at sigma*l ~ 150 cannot get below ~1e-12 in
+double precision) and at large Biot numbers nu*l/k, where the
+neumann_robin root crowds the pole of tan(theta) at pi/2.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ class EigenSystem:
     distance of sigma*l above the bracket's lower edge, in (0, pi/2):
     sigma*l = m*pi + offset (neumann_robin; offset 0 for neumann_neumann) or
     (m - 1/2)*pi + offset (dirichlet_robin).
-    `residuals[n]` is the defining-equation residual evaluated in the reduced
-    variable (for dirichlet_robin, of the pole-free form
-    k*sigma*sin(offset) - nu*cos(offset)).
+    `residuals[n]` is the absolute residual of the pole-free form
+    k*sigma*sin(offset) - nu*cos(offset) of both Robin kinds (0 for
+    neumann_neumann); its scale is max(nu, k*sigma).
     """
 
     kind: str
@@ -76,6 +76,12 @@ class EigenSystem:
     @property
     def n_terms(self) -> int:
         return len(self.roots)
+
+    @property
+    def trig(self) -> str:
+        """The eigenfunction family: sin(sigma x) for dirichlet_robin,
+        cos(sigma x) for the flux-left kinds."""
+        return "sin" if self.kind == "dirichlet_robin" else "cos"
 
     def sin_at_l(self) -> np.ndarray:
         """sin(sigma_n * l) computed stably from the stored offsets."""
@@ -109,57 +115,36 @@ class EigenSystem:
         return (self.nu * self.l + self.k * trig_l**2) / (2.0 * self.nu)
 
 
-def _reduced_equation(kind: str, k: float, nu: float, l: float, m: int):
-    # Returns (h, dh) in the offset variable on (0, pi/2); h is negative at 0
-    # and increases through a single zero. Neither form touches a tan() pole:
-    # the neumann_robin root keeps tan(theta) = nu*l/(k*sigma*l) small, and
-    # the dirichlet_robin equation is cleared of its cotangent entirely.
-    if kind == "neumann_robin":
+def _offsets(base: np.ndarray, k: float, nu: float, l: float):
+    """Zeros theta of h = k*(base + theta)/l * sin(theta) - nu*cos(theta) on
+    (0, pi/2), one per entry of base, with |h| there. h(0) = -nu < 0 and
+    h(pi/2) > 0, so every bracket holds its zero: all are bisected at once
+    to width 1e-10, then each takes up to 5 Newton steps, kept only while
+    they stay inside its bracket and shrink |h|."""
 
-        def h(th):
-            return k * (m * math.pi + th) / l * math.tan(th) - nu
+    def h(th):
+        return k * (base + th) / l * np.sin(th) - nu * np.cos(th)
 
-        def dh(th):
-            c = math.cos(th)
-            return k / l * math.tan(th) + k * (m * math.pi + th) / l / (c * c)
-
-    else:
-        base = (m - 0.5) * math.pi
-
-        def h(ph):
-            return k * (base + ph) / l * math.sin(ph) - nu * math.cos(ph)
-
-        def dh(ph):
-            s, c = math.sin(ph), math.cos(ph)
-            return (k / l + nu) * s + k * (base + ph) / l * c
-
-    return h, dh
-
-
-def _find_root(kind: str, k: float, nu: float, l: float, m: int) -> tuple[float, float]:
-    """Bisection to width 1e-10 then up to 5 safeguarded Newton steps in the
-    reduced variable. Returns (theta, residual)."""
-    h, dh = _reduced_equation(kind, k, nu, l, m)
-    lo, hi = 0.0, math.pi / 2
-    # h(0) = -nu < 0 and h > 0 at pi/2 for both kinds
-    while hi - lo > 1e-10:
+    lo = np.zeros_like(base)
+    hi = np.full_like(base, math.pi / 2)
+    active = hi - lo > 1e-10
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        below = h(mid) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = hi - lo > 1e-10
     th = 0.5 * (lo + hi)
     val = h(th)
+    active = np.ones_like(base, dtype=bool)
     for _ in range(5):
-        step = val / dh(th)
-        cand = th - step
-        if not (lo < cand < hi):
-            break
+        dh = (k / l + nu) * np.sin(th) + k * (base + th) / l * np.cos(th)
+        cand = th - val / dh
         cval = h(cand)
-        if abs(cval) >= abs(val):
-            break
-        th, val = cand, cval
-    return th, abs(val)
+        active &= (lo < cand) & (cand < hi) & (np.abs(cval) < np.abs(val))
+        th = np.where(active, cand, th)
+        val = np.where(active, cval, val)
+    return th, np.abs(val)
 
 
 def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSystem:
@@ -176,31 +161,25 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
         raise ValueError("k, nu, l must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    first = 1 if kind == "dirichlet_robin" else 0
-    indices, offsets, roots, residuals, brackets = [], [], [], [], []
-    for m in range(first, first + n_max):
-        th, res = (0.0, 0.0) if kind == "neumann_neumann" else _find_root(kind, k, nu, l, m)
-        if kind == "dirichlet_robin":
-            sigma = ((m - 0.5) * math.pi + th) / l
-            brackets.append(((m - 0.5) * math.pi / l, m * math.pi / l))
-        else:
-            sigma = (m * math.pi + th) / l
-            width = 0.5 if kind == "neumann_robin" else 0.0
-            brackets.append((m * math.pi / l, (m + width) * math.pi / l))
-        indices.append(m)
-        offsets.append(th)
-        roots.append(sigma)
-        residuals.append(res)
+    first, shift = (1, 0.5) if kind == "dirichlet_robin" else (0, 0.0)
+    m = np.arange(first, first + n_max)
+    base = (m - shift) * math.pi
+    if kind == "neumann_neumann":
+        offsets = residuals = np.zeros(n_max)
+        width = 0.0
+    else:
+        offsets, residuals = _offsets(base, k, nu, l)
+        width = 0.5
     return EigenSystem(
         kind,
         float(k),
         float(nu),
         float(l),
-        tuple(indices),
-        tuple(offsets),
-        tuple(roots),
-        tuple(residuals),
-        tuple(brackets),
+        tuple(m.tolist()),
+        tuple(offsets.tolist()),
+        tuple(((base + offsets) / l).tolist()),
+        tuple(residuals.tolist()),
+        tuple(zip((base / l).tolist(), ((m - shift + width) * math.pi / l).tolist())),
     )
 
 
@@ -221,12 +200,9 @@ class ModalSeries:
     eigen: EigenSystem
     amplitudes: tuple[float, ...]
     offset: float = 0.0
-    trig: str = "cos"
     source: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.trig not in _TRIG:
-            raise ValueError(f"trig must be 'cos' or 'sin', got {self.trig!r}")
         if len(self.amplitudes) != self.eigen.n_terms:
             raise ValueError("one amplitude per eigenvalue is required")
         if self.source and len(self.source) != self.eigen.n_terms:
@@ -237,6 +213,11 @@ class ModalSeries:
     @property
     def n_terms(self) -> int:
         return len(self.amplitudes)
+
+    @property
+    def trig(self) -> str:
+        """The eigen kind's family, "cos" or "sin"."""
+        return self.eigen.trig
 
     def grid(self, xs, ts) -> np.ndarray:
         """Full-sum evaluation on a tensor grid, shape (len(ts), len(xs)).
@@ -293,14 +274,9 @@ def _beyond_stored_bound(series: ModalSeries, t: float) -> float:
     env = max(abs(a) for a in series.amplitudes)
     if env == 0.0 or t <= 0.0:
         return 0.0 if env == 0.0 else math.inf
-    base = math.pi / eig.l
+    step = math.pi / eig.l
     nxt = eig.indices[-1] + 1
-    if eig.kind == "dirichlet_robin":
-        lo = (nxt - 0.5) * base
-        step = base
-    else:
-        lo = nxt * base
-        step = base
+    lo = (nxt - 0.5 if eig.kind == "dirichlet_robin" else nxt) * step
     kt = eig.k * t
     first = math.exp(-lo * lo * kt)
     ratio = math.exp(-(2.0 * lo + step) * step * kt)
@@ -353,7 +329,6 @@ def fourier_coeffs(eigen: EigenSystem, residual_initial: Poly1) -> np.ndarray:
     """
     if residual_initial.coeffs and residual_initial.variable != "x":
         raise ValueError("residual_initial must be a polynomial in x")
-    kind = "sin" if eigen.kind == "dirichlet_robin" else "cos"
     sin_l = eigen.sin_at_l()
     cos_l = eigen.cos_at_l()
     norms = eigen.norms()
@@ -369,7 +344,7 @@ def fourier_coeffs(eigen: EigenSystem, residual_initial: Poly1) -> np.ndarray:
         for m, c in enumerate(coeffs):
             if c != 0.0:
                 acc += c * trig_poly_integral(
-                    m, sigma, eigen.l, kind, sin_l=float(sin_l[n]), cos_l=float(cos_l[n])
+                    m, sigma, eigen.l, eigen.trig, sin_l=float(sin_l[n]), cos_l=float(cos_l[n])
                 )
         out[n] = acc / norms[n]
     return out

@@ -258,6 +258,16 @@ def test_verify_exits_1_when_a_bound_fails(tmp_path):
     assert rep["verification"]["oracle_max_diff"] > 1e-3
 
 
+def test_verify_passes_at_large_biot_number(tmp_path):
+    # ex1's data with nu = 1e10: the tan-form roots left bc_residual_right
+    # at 3.9e-3; the pole-free roots bring it under its 1e-5 bound
+    ex1 = Path(__file__).parents[1] / "configs" / "ex1.json"
+    payload = {**json.loads(ex1.read_text()), "nu": 1e10}
+    proc = _run("verify", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
+
+
 def test_eigen_table_matches_library():
     proc = _run("eigen", "--kind", "nr", "--k", "1", "--nu", "1", "--l", "1", "-n", "3")
     assert proc.returncode == 0, proc.stderr

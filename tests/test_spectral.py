@@ -69,6 +69,80 @@ def test_bracket_and_offset_invariants():
             assert all(b < a for a, b in zip(eig.roots[1:], eig.roots))
 
 
+def _scalar_root(kind, k, nu, l, m):
+    # the scalar finder the array one replaced, kept as its reference: the
+    # tan form for neumann_robin, the pole-free form for dirichlet_robin,
+    # bisection to width 1e-10 then up to 5 safeguarded Newton steps
+    if kind == "neumann_robin":
+
+        def h(th):
+            return k * (m * math.pi + th) / l * math.tan(th) - nu
+
+        def dh(th):
+            c = math.cos(th)
+            return k / l * math.tan(th) + k * (m * math.pi + th) / l / (c * c)
+
+    else:
+        base = (m - 0.5) * math.pi
+
+        def h(ph):
+            return k * (base + ph) / l * math.sin(ph) - nu * math.cos(ph)
+
+        def dh(ph):
+            s, c = math.sin(ph), math.cos(ph)
+            return (k / l + nu) * s + k * (base + ph) / l * c
+
+    lo, hi = 0.0, math.pi / 2
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    th = 0.5 * (lo + hi)
+    val = h(th)
+    for _ in range(5):
+        cand = th - val / dh(th)
+        if not (lo < cand < hi):
+            break
+        cval = h(cand)
+        if abs(cval) >= abs(val):
+            break
+        th, val = cand, cval
+    return th, abs(val)
+
+
+def test_array_finder_repeats_the_scalar_finder():
+    rng = np.random.default_rng(17)
+    n = 1024
+    for k, nu, l in np.exp(rng.uniform(-3.0, 3.0, (4, 3))).tolist():
+        eig = eigenvalues("dirichlet_robin", k, nu, l, n)
+        ref = [_scalar_root("dirichlet_robin", k, nu, l, m) for m in range(1, n + 1)]
+        assert eig.offsets == tuple(th for th, _ in ref)
+        assert eig.residuals == tuple(res for _, res in ref)
+        roots = (((m - 0.5) * math.pi + th) / l for m, (th, _) in enumerate(ref, 1))
+        assert eig.roots == tuple(roots)
+        assert eig.brackets == tuple(
+            ((m - 0.5) * math.pi / l, m * math.pi / l) for m in range(1, n + 1)
+        )
+        eig = eigenvalues("neumann_robin", k, nu, l, n)
+        for m, off in enumerate(eig.offsets):
+            th, _ = _scalar_root("neumann_robin", k, nu, l, m)
+            assert abs(off - th) <= 4 * math.ulp(th), (k, nu, l, m)
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0])
+@pytest.mark.parametrize("nu", [1e8, 1e10, 1e12])
+def test_large_biot_roots_stay_accurate(k, nu):
+    # the neumann_robin root nears the tan pole at Biot number nu*l/k; the
+    # tan form lost it there (relative residual 0.99 at nu = 1e12)
+    eig = eigenvalues("neumann_robin", k, nu, 1.0, 1024)
+    for off, sigma, res, (lo, hi) in zip(eig.offsets, eig.roots, eig.residuals, eig.brackets):
+        assert lo < sigma < hi
+        assert 0.0 < off < math.pi / 2
+        assert res <= 4e-16 * max(nu, k * sigma), (sigma, res)
+
+
 def test_boundary_trig_tables_match_direct_evaluation():
     # moderate arguments, where plain sin/cos are reliable: the shifted
     # stable formulas must agree, signs included
@@ -140,8 +214,6 @@ def test_eigenvalues_validation():
 
 def test_modal_series_validation():
     eig = eigenvalues("neumann_robin", 1.0, 1.0, 1.0, 3)
-    with pytest.raises(ValueError, match="trig"):
-        ModalSeries(eig, (1.0, 2.0, 3.0), trig="tan")
     with pytest.raises(ValueError, match="amplitude"):
         ModalSeries(eig, (1.0, 2.0))
     ser = ModalSeries(eig, (1.0, -2.0, 0.5), offset=0.25)
@@ -150,6 +222,10 @@ def test_modal_series_validation():
     with pytest.raises(ValueError, match="source"):
         ModalSeries(eig, (1.0, -2.0, 0.5), source=(1.0, 2.0))
     assert ModalSeries(eig, (1.0, -2.0, 0.5), source=(1, 2, 3)).source == (1.0, 2.0, 3.0)
+    # the family is read from the eigen kind, never passed
+    assert ser.trig == "cos"
+    for kind, trig in (("dirichlet_robin", "sin"), ("neumann_neumann", "cos")):
+        assert ModalSeries(eigenvalues(kind, 1.0, 1.0, 1.0, 3), (1.0, 2.0, 3.0)).trig == trig
 
 
 def test_series_truncation_respects_tolerance():
@@ -206,7 +282,7 @@ def test_beyond_stored_bound_dominates_actual_tail():
         big.brackets[:40],
     )
     amps = tuple(1.0 / (n + 1) for n in range(40))
-    ser = ModalSeries(small, amps, trig="sin")
+    ser = ModalSeries(small, amps)
     env = max(abs(a) for a in amps)
     for t in (0.05, 0.2, 1.0):
         bound = _beyond_stored_bound(ser, t)
@@ -215,7 +291,7 @@ def test_beyond_stored_bound_dominates_actual_tail():
         )
         assert bound >= actual, (t, bound, actual)
     assert _beyond_stored_bound(ser, 0.0) == math.inf
-    zero = ModalSeries(small, (0.0,) * 40, trig="sin")
+    zero = ModalSeries(small, (0.0,) * 40)
     assert _beyond_stored_bound(zero, 0.0) == 0.0
 
 
@@ -262,7 +338,7 @@ def test_projection_reproduces_smooth_data_pointwise():
 def test_evaluate_series_agrees_with_grid():
     eig = eigenvalues("dirichlet_robin", 0.5, 0.8, 1.0, 16)
     rng = np.random.default_rng(9)
-    ser = ModalSeries(eig, tuple(rng.uniform(-1, 1, 16)), offset=-0.2, trig="sin")
+    ser = ModalSeries(eig, tuple(rng.uniform(-1, 1, 16)), offset=-0.2)
     xs = [0.1, 0.6, 1.0]
     ts = [0.05, 0.9]
     g = ser.grid(xs, ts)
