@@ -345,14 +345,18 @@ def cmd_eigen(kind: str, k: float, nu: float, l: float, n: int) -> int:
         print(f"parameter error: n must be in [1, 1024], got {n}", file=sys.stderr)
         return 2
     eig = eigenvalues(mapped, k, nu, l, n)
-    print("index  sigma                  bracket_lo             bracket_hi             residual   gap_to_pi_multiple")
+    print(
+        "index  sigma                  bracket_lo             bracket_hi             residual   "
+        "gap_to_pi_multiple     rel_residual"
+    )
     for i in range(eig.n_terms):
-        sigma = eig.roots[i]
+        sigma, res = eig.roots[i], eig.residuals[i]
         lo, hi = eig.brackets[i]
         nearest = round(sigma * l / math.pi)
         gap = abs(sigma - nearest * math.pi / l)
+        rel = res / max(nu, k * sigma)
         print(
-            f"{i:<5d}  {sigma:<21.15g}  {lo:<21.15g}  {hi:<21.15g}  {eig.residuals[i]:9.2e}  {gap:.15g}"
+            f"{i:<5d}  {sigma:<21.15g}  {lo:<21.15g}  {hi:<21.15g}  {res:9.2e}  {gap:<21.15g}  {rel:.2e}"
         )
     return 0
 

@@ -277,29 +277,32 @@ def gaussian_moment(j: int, s: float) -> float:
 
 def trig_poly_integral(
     m: int,
-    sigma: float,
+    sigma: float | np.ndarray,
     l: float,
     kind: str = "cos",
     *,
-    sin_l: float | None = None,
-    cos_l: float | None = None,
-) -> float:
+    sin_l: float | np.ndarray | None = None,
+    cos_l: float | np.ndarray | None = None,
+) -> float | np.ndarray:
     """Integral of x**m * trig(sigma*x) over [0, l], by the integration-by-parts
     recurrence in m (exact up to floating rounding; no quadrature).
 
     sin_l/cos_l may be supplied when the caller has more accurate values of
-    sin(sigma*l), cos(sigma*l) than direct evaluation gives.
+    sin(sigma*l), cos(sigma*l) than direct evaluation gives. sigma may be an
+    array (with sin_l/cos_l of its shape): the recurrence then runs over all
+    entries at once with the same + - * / in the same order, so each entry
+    keeps the bits of its scalar call. A scalar sigma returns a float.
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if sigma <= 0 or l <= 0:
+    if np.any(np.asarray(sigma) <= 0) or l <= 0:
         raise ValueError("sigma and l must be positive")
     if sin_l is None:
-        sin_l = math.sin(sigma * l)
+        sin_l = np.sin(sigma * l)
     if cos_l is None:
-        cos_l = math.cos(sigma * l)
+        cos_l = np.cos(sigma * l)
     ic = sin_l / sigma
     isn = (1.0 - cos_l) / sigma
     lp = 1.0
@@ -309,4 +312,5 @@ def trig_poly_integral(
             lp * sin_l / sigma - (mm / sigma) * isn,
             -lp * cos_l / sigma + (mm / sigma) * ic,
         )
-    return ic if kind == "cos" else isn
+    out = ic if kind == "cos" else isn
+    return float(out) if np.ndim(out) == 0 else out

@@ -195,7 +195,9 @@ class ModalSeries:
 
     and the source memory is source[n] * t where lam_n = 0. `source` holds
     the modal amplitudes of a static source; it is empty for the Robin
-    correction series."""
+    correction series. The evaluators use arrays of the roots, rates lam,
+    amplitudes and source, and the envelope max|a|, built once per series and
+    read-only; they are not fields, so ==, hash and repr see the tuples only."""
 
     eigen: EigenSystem
     amplitudes: tuple[float, ...]
@@ -209,6 +211,12 @@ class ModalSeries:
             raise ValueError("source needs one amplitude per eigenvalue, or none")
         object.__setattr__(self, "amplitudes", tuple(float(v) for v in self.amplitudes))
         object.__setattr__(self, "source", tuple(float(v) for v in self.source))
+        sig = np.array(self.eigen.roots)
+        arrays = (sig, sig * sig * self.eigen.k, np.array(self.amplitudes), np.array(self.source))
+        for name, values in zip(("_roots", "_rates", "_amps", "_source"), arrays):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "_envelope", float(np.max(np.abs(self._amps), initial=0.0)))
 
     @property
     def n_terms(self) -> int:
@@ -229,7 +237,7 @@ class ModalSeries:
         """
         xs = grid_axis(xs)
         ts = grid_axis(ts)
-        tmat = _TRIG[self.trig](np.outer(self.eigen.roots, xs))  # (n, nx)
+        tmat = _TRIG[self.trig](np.outer(self._roots, xs))  # (n, nx)
         block = 64
         out = np.empty((ts.size, xs.size), dtype=np.result_type(xs, ts))
         for s in range(0, ts.size, block):
@@ -240,14 +248,13 @@ class ModalSeries:
 
 def _damped_amplitudes(series: ModalSeries, ts: np.ndarray) -> np.ndarray:
     """The weights w_n(t) of ModalSeries for every t in ts, shape (len(ts), n)."""
-    sig = np.asarray(series.eigen.roots)
-    rates = sig * sig * series.eigen.k
+    rates = series._rates
     decay = np.exp(-np.outer(ts, rates))
-    out = decay * np.asarray(series.amplitudes)
+    out = decay * series._amps
     if series.source:
         with np.errstate(divide="ignore", invalid="ignore"):
             memory = np.where(rates > 0.0, (1.0 - decay) / rates, ts[:, None])
-        out = out + memory * np.asarray(series.source)
+        out = out + memory * series._source
     return out
 
 
@@ -269,9 +276,7 @@ def _beyond_stored_bound(series: ModalSeries, t: float) -> float:
     eig = series.eigen
     if any(series.source):
         return math.inf
-    if not series.amplitudes:
-        return 0.0
-    env = max(abs(a) for a in series.amplitudes)
+    env = series._envelope
     if env == 0.0 or t <= 0.0:
         return 0.0 if env == 0.0 else math.inf
     step = math.pi / eig.l
@@ -305,8 +310,7 @@ def evaluate_series_info(
     cutoffs = np.cumsum(weights)[::-1]
     below = np.flatnonzero(cutoffs < tol)
     use = int(below[0]) if below.size else series.n_terms
-    sig = np.asarray(series.eigen.roots[:use])
-    total = series.offset + float(terms[:use] @ _TRIG[series.trig](sig * x))
+    total = series.offset + float(terms[:use] @ _TRIG[series.trig](series._roots[:use] * x))
     return SeriesValue(total, use, float(cutoffs[use]), bool(cutoffs[use] < tol))
 
 
@@ -325,7 +329,9 @@ def fourier_coeffs(eigen: EigenSystem, residual_initial: Poly1) -> np.ndarray:
 
     The integrals are exact (trig_poly_integral, or the plain integral for
     the mean); sin/cos at the boundary are taken from the stable reduced
-    offsets.
+    offsets. One array pass per non-zero degree m covers every sigma > 0;
+    the degrees accumulate in increasing order from 0.0 as acc += c_m * I_m,
+    so each amplitude has the bits of the per-mode scalar loop.
     """
     if residual_initial.coeffs and residual_initial.variable != "x":
         raise ValueError("residual_initial must be a polynomial in x")
@@ -336,15 +342,14 @@ def fourier_coeffs(eigen: EigenSystem, residual_initial: Poly1) -> np.ndarray:
     coeffs = residual_initial.coeffs
     if not coeffs:
         return out
-    for n, sigma in enumerate(eigen.roots):
-        if sigma == 0.0:
-            out[n] = residual_initial.integral(0.0, eigen.l) / norms[n]
-            continue
-        acc = 0.0
-        for m, c in enumerate(coeffs):
-            if c != 0.0:
-                acc += c * trig_poly_integral(
-                    m, sigma, eigen.l, eigen.trig, sin_l=float(sin_l[n]), cos_l=float(cos_l[n])
-                )
-        out[n] = acc / norms[n]
+    sig = np.asarray(eigen.roots)
+    pos = sig != 0.0
+    acc = 0.0
+    for m, c in enumerate(coeffs):
+        if c != 0.0:
+            acc += c * trig_poly_integral(
+                m, sig[pos], eigen.l, eigen.trig, sin_l=sin_l[pos], cos_l=cos_l[pos]
+            )
+    out[pos] = acc / norms[pos]
+    out[~pos] = residual_initial.integral(0.0, eigen.l) / norms[~pos]
     return out

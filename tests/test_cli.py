@@ -273,7 +273,8 @@ def test_eigen_table_matches_library():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines[0].split() == [
-        "index", "sigma", "bracket_lo", "bracket_hi", "residual", "gap_to_pi_multiple"
+        "index", "sigma", "bracket_lo", "bracket_hi", "residual", "gap_to_pi_multiple",
+        "rel_residual",
     ]
     eig = eigenvalues("neumann_robin", 1.0, 1.0, 1.0, 3)
     assert len(lines) == 4
@@ -282,11 +283,20 @@ def test_eigen_table_matches_library():
         assert float(fields[1]) == pytest.approx(sigma, rel=1e-14)
         assert float(fields[2]) < sigma < float(fields[3])
         assert float(fields[4]) <= 1e-12
+        assert float(fields[6]) == pytest.approx(float(fields[4]) / max(1.0, sigma), rel=0.01)
     proc_dr = _run("eigen", "--kind", "dr", "--k", "0.25", "--nu", "4", "--l", "1", "-n", "4")
     assert proc_dr.returncode == 0
     for m, row in enumerate(proc_dr.stdout.strip().splitlines()[1:], start=1):
         sigma = float(row.split()[1])
         assert (m - 0.5) * math.pi < sigma < m * math.pi
+    # at a large Biot number the absolute residuals reach 1e-4 but are
+    # rounding-level against the scale max(nu, k*sigma)
+    proc_big = _run("eigen", "--kind", "nr", "--k", "1", "--nu", "1e12", "--l", "1", "-n", "64")
+    assert proc_big.returncode == 0, proc_big.stderr
+    rows = [row.split() for row in proc_big.stdout.strip().splitlines()[1:]]
+    assert len(rows) == 64
+    assert max(float(f[4]) for f in rows) > 1e-6
+    assert max(float(f[6]) for f in rows) <= 4e-16
 
 
 @pytest.mark.parametrize(

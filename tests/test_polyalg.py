@@ -236,3 +236,30 @@ def test_trig_poly_integral_validation():
         trig_poly_integral(1, 0.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         trig_poly_integral(1, 1.0, -2.0)
+
+
+def test_trig_poly_integral_array_sigma_keeps_every_bit():
+    # the array recurrence repeats the scalar one entry by entry, with the
+    # supplied boundary trig and with its own
+    rng = np.random.default_rng(2718)
+    sigma = rng.uniform(0.05, 3300.0, 257)
+    l = 1.7
+    sin_l, cos_l = np.sin(sigma * l), np.cos(sigma * l)
+    for kind in ("cos", "sin"):
+        for m in range(9):
+            got = trig_poly_integral(m, sigma, l, kind, sin_l=sin_l, cos_l=cos_l)
+            ref = [
+                trig_poly_integral(m, s, l, kind, sin_l=float(a), cos_l=float(b))
+                for s, a, b in zip(sigma.tolist(), sin_l, cos_l)
+            ]
+            assert got.tobytes() == np.array(ref).tobytes(), (kind, m)
+            own = [trig_poly_integral(m, s, l, kind) for s in sigma.tolist()]
+            assert trig_poly_integral(m, sigma, l, kind).tobytes() == np.array(own).tobytes()
+    assert type(trig_poly_integral(3, 2.0, l)) is float
+    bad = sigma.copy()
+    bad[100] = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        trig_poly_integral(2, bad, l, sin_l=sin_l, cos_l=cos_l)
+    bad[100] = -1.0
+    with pytest.raises(ValueError, match="positive"):
+        trig_poly_integral(0, bad, l)

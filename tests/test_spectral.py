@@ -1,5 +1,6 @@
 """Eigenvalue brackets, stable boundary trig, projections, series truncation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from heatrobin.polyalg import Poly1
+from heatrobin.polyalg import Poly1, trig_poly_integral
 from heatrobin.spectral import (
     EigenSystem,
     ModalSeries,
@@ -394,3 +395,99 @@ def test_source_memory_is_never_certified():
     # an all-zero source is no source
     unforced = ModalSeries(eig, amps, source=(0.0,) * 8)
     assert evaluate_series_info(unforced, 0.4, 1.0).tail_verified
+
+
+def _scalar_fourier_coeffs(eigen, r):
+    # the per-(mode, degree) scalar loop the array pass replaced, kept as
+    # its reference
+    sin_l, cos_l, norms = eigen.sin_at_l(), eigen.cos_at_l(), eigen.norms()
+    out = np.zeros(eigen.n_terms)
+    for n, sigma in enumerate(eigen.roots):
+        if sigma == 0.0:
+            out[n] = r.integral(0.0, eigen.l) / norms[n]
+            continue
+        acc = 0.0
+        for m, c in enumerate(r.coeffs):
+            if c != 0.0:
+                acc += c * trig_poly_integral(
+                    m, sigma, eigen.l, eigen.trig, sin_l=float(sin_l[n]), cos_l=float(cos_l[n])
+                )
+        out[n] = acc / norms[n]
+    return out
+
+
+def test_fourier_coeffs_repeat_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for kind in ("neumann_robin", "dirichlet_robin", "neumann_neumann"):
+        for degree in (0, 3, 8):
+            k, nu, l = np.exp(rng.uniform(-2.0, 2.0, 3)).tolist()
+            coeffs = rng.normal(size=degree + 1)
+            coeffs[1:-1:2] = 0.0  # zero coefficients between the non-zero ones
+            r = Poly1(tuple(coeffs), "x")
+            eig = eigenvalues(kind, k, nu, l, 1024)
+            got = fourier_coeffs(eig, r)
+            assert got.tobytes() == _scalar_fourier_coeffs(eig, r).tobytes(), (kind, degree)
+            if kind == "neumann_neumann":
+                assert eig.roots[0] == 0.0
+                assert got[0] == r.integral(0.0, l) / l
+
+
+def _tuple_reference(series, x, t, tol):
+    # point evaluation and grid rebuilt from the tuples on every call
+    sig = np.asarray(series.eigen.roots)
+    rates = sig * sig * series.eigen.k
+    trig = np.cos if series.trig == "cos" else np.sin
+
+    def weights(ts):
+        decay = np.exp(-np.outer(ts, rates))
+        out = decay * np.asarray(series.amplitudes)
+        if series.source:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                memory = np.where(rates > 0.0, (1.0 - decay) / rates, ts[:, None])
+            out = out + memory * np.asarray(series.source)
+        return out
+
+    t = max(t, 0.0)
+    terms = weights(np.array([t]))[0]
+    cut = np.cumsum(np.concatenate(([_beyond_stored_bound(series, t)], np.abs(terms[::-1]))))[::-1]
+    below = np.flatnonzero(cut < tol)
+    use = int(below[0]) if below.size else series.n_terms
+    value = series.offset + float(terms[:use] @ trig(sig[:use] * x))
+    xs, ts = np.linspace(0.0, series.eigen.l, 7), np.linspace(0.0, 0.3, 5)
+    grid = weights(ts) @ trig(np.outer(sig, xs)) + series.offset
+    return (value, use, float(cut[use]), bool(cut[use] < tol)), grid
+
+
+def test_modal_series_arrays_are_built_once_and_read_only():
+    rng = np.random.default_rng(41)
+    eig = eigenvalues("neumann_robin", 0.25, 0.5, 1.0, 64)
+    amps = tuple(rng.uniform(-1.0, 1.0, 64).tolist())
+    ser = ModalSeries(eig, amps, offset=0.3)
+    twin = ModalSeries(eig, amps, offset=0.3)
+    assert ser == twin and hash(ser) == hash(twin) == hash((eig, amps, 0.3, ()))
+    assert repr(ser) == f"ModalSeries(eigen={eig!r}, amplitudes={amps!r}, offset=0.3, source=())"
+    for values in (ser._roots, ser._rates, ser._amps, ser._source):
+        with pytest.raises(ValueError, match="read-only"):
+            values[:1] = 0.0
+    halved = dataclasses.replace(ser, amplitudes=tuple(a / 2 for a in amps))
+    fresh = ModalSeries(eig, tuple(a / 2 for a in amps), offset=0.3)
+    assert halved._envelope == fresh._envelope == max(abs(a) for a in amps) / 2
+    for x, t in ((0.2, 0.01), (0.9, 0.5), (0.4, 0.0)):
+        assert evaluate_series_info(halved, x, t) == evaluate_series_info(fresh, x, t)
+    xs, ts = [0.1, 0.7], [0.0, 0.2]
+    assert halved.grid(xs, ts).tobytes() == fresh.grid(xs, ts).tobytes()
+    rod = eigenvalues("neumann_neumann", 0.5, 1.0, 1.0, 32)
+    forced = ModalSeries(
+        rod, tuple(rng.normal(size=32)), offset=-0.1, source=tuple(rng.normal(size=32))
+    )
+    dr = eigenvalues("dirichlet_robin", 0.5, 0.8, 1.3, 48)
+    points = ((0.0, 0.0, 1e-10), (0.35, 0.02, 1e-10), (1.0, 0.4, 1e-6), (0.6, 2.0, 1e-300))
+    for s in (ser, halved, forced, ModalSeries(dr, tuple(rng.normal(size=48)))):
+        assert s._envelope == max(abs(a) for a in s.amplitudes)
+        for x, t, tol in points:
+            want, grid = _tuple_reference(s, x, t, tol)
+            info = evaluate_series_info(s, x, t, tol)
+            got = (info.value, info.terms_used, info.tail_bound, info.tail_verified)
+            assert got == want and np.array(got).tobytes() == np.array(want).tobytes()
+        xs, ts = np.linspace(0.0, s.eigen.l, 7), np.linspace(0.0, 0.3, 5)
+        assert s.grid(xs, ts).tobytes() == grid.tobytes()
