@@ -306,22 +306,27 @@ def threshold_rows(report: VerificationReport, boundary: str):
     return [(name, value, bound, bool(value <= bound)) for name, value, bound in triples]
 
 
+def _trapezoid_nodes(omega_max: float):
+    """Step h and half-line nodes j h <= 13 of the trapezoid rule for |omega| <= omega_max."""
+    h = min(2.0 * math.pi / (omega_max + 32.0), 0.3)
+    return h, h * np.arange(int(math.ceil(13.0 / h)) + 1)
+
+
 def gaussian_cosine_transform(omega):
     """(1/sqrt(pi)) * integral over the line of exp(-z^2) cos(omega z) dz,
     by trapezoid summation; a scalar omega gives a float, an array of omegas
     an array of the same shape.
 
-    The trapezoid rule is exponentially accurate here: with step
-    h <= 2 pi / (|omega| + 32) the nearest aliased frequency sits 32 away,
-    so the aliasing error is about exp(-256), and truncating at |z| = 13
-    contributes about exp(-169). An array shares one step, set by its
-    largest |omega|, so the bound holds for every entry. Unlike Hermite
-    quadrature this stays accurate for arbitrarily large omega.
+    The trapezoid rule (_trapezoid_nodes) is exponentially accurate here
+    (Trefethen & Weideman, SIAM Rev. 56, 2014): with h <= 2 pi / (|omega| + 32)
+    the nearest aliased frequency sits 32 away, so aliasing costs about
+    exp(-256), and truncating at |z| = 13 about exp(-169). An array shares
+    the step of its largest |omega|, so the bound holds for every entry, as
+    for two_forms_check's closed-form omega integral of the same sum. Unlike
+    Hermite quadrature this stays accurate for arbitrarily large omega.
     """
     w = np.abs(np.asarray(omega, dtype=float))
-    h = min(2.0 * math.pi / (float(np.max(w, initial=0.0)) + 32.0), 0.3)
-    n = int(math.ceil(13.0 / h))
-    z = h * np.arange(n + 1)
+    h, z = _trapezoid_nodes(float(np.max(w, initial=0.0)))
     vals = np.exp(-z * z) * np.cos(w[..., None] * z)
     half_line = h * (0.5 * vals[..., 0] + np.sum(vals[..., 1:], axis=-1))
     out = 2.0 * half_line / math.sqrt(math.pi)
@@ -337,7 +342,15 @@ def kernel_cosine_transform_quadrature(n: int, k: float, t: float) -> float:
     return gaussian_cosine_transform(n * math.pi * math.sqrt(4.0 * k * t))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+def _transform_factors(lam: np.ndarray, t: float):
+    """(decay, memory): the transform realizations of exp(-lam t) and
+    (1 - exp(-lam t)) / lam for rates lam > 0 at t >= 0 (two_forms_check)."""
+    omega = np.sqrt(4.0 * lam * t)
+    h, z = _trapezoid_nodes(float(np.max(omega, initial=0.0)))
+    om, zj = omega[:, None], z[1:]
+    kernel = om * np.sin(om * zj) / zj - 2.0 * (np.sin(0.5 * om * zj) / zj) ** 2
+    memory = h * (0.25 * omega**2 + kernel @ np.exp(-zj * zj)) / (math.sqrt(math.pi) * lam)
+    return gaussian_cosine_transform(omega), memory
 
 
 def two_forms_check(f, mu0, k: float, xs=None, ts=None, n_max: int = 24) -> float:
@@ -347,43 +360,30 @@ def two_forms_check(f, mu0, k: float, xs=None, ts=None, n_max: int = 24) -> floa
     Form one is the neumann_neumann ModalSeries from solve_neumann_neumann,
     evaluated by ModalSeries.grid with exact exponentials. Form two takes
     its `amplitudes` and `source` and replaces every exponential with the
-    Gaussian-transform quadrature: the decay factor exp(-n^2 pi^2 k t)
-    becomes the transform at omega = n pi sqrt(4kt), and the source memory
-    integral of that factor is computed by Gauss-Legendre panels after the
-    substitution s = omega^2 / (4 k n^2 pi^2). Both forms share one
-    truncated mode set, so the difference isolates the transform identity.
+    Gaussian cosine transform G: the decay exp(-lam t), lam = k n^2 pi^2, is
+    G(Omega) at Omega = sqrt(4 lam t), and the source memory is
+    integral_0^Omega w G(w) dw / (2 lam), with G the trapezoid sum on the
+    nodes for the row's largest Omega and each node integrated exactly:
+    integral_0^Omega w cos(w z) dw = Omega sin(Omega z) / z -
+    2 sin^2(Omega z / 2) / z^2 (Omega^2 / 2 at z = 0). So the sum's
+    aliasing and truncation bounds hold at every w <= Omega. Each t is one
+    array pass over all modes; both forms share one truncated mode set, so
+    the difference isolates the transform identity.
     """
-    if xs is None:
-        xs = np.linspace(0.0, 1.0, 21)
-    if ts is None:
-        ts = np.linspace(0.01, 1.0, 11)
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
+    xs = np.linspace(0.0, 1.0, 21) if xs is None else np.asarray(xs, dtype=float)
+    ts = np.linspace(0.01, 1.0, 11) if ts is None else np.asarray(ts, dtype=float)
+    if ts.size == 0 or not np.all(ts >= 0.0):
+        raise ValueError("ts must be non-empty with every t >= 0")
 
     series = solve_neumann_neumann(f, mu0, k, n_max)
     form_a = series.grid(xs, ts)
 
-    a = np.asarray(series.amplitudes)
-    b = np.asarray(series.source)
-    modes = np.arange(n_max)
-    cosmat = np.cos(np.outer(modes * math.pi, xs))
+    a, b = np.asarray(series.amplitudes), np.asarray(series.source)
+    lam = k * (np.arange(1, n_max) * math.pi) ** 2
+    cosmat = np.cos(np.outer(np.arange(n_max) * math.pi, xs))
     form_b = np.empty((ts.size, xs.size))
     for row, t in enumerate(ts):
-        amps = np.empty(n_max)
-        for n in modes:
-            if n == 0:
-                amps[0] = a[0] + b[0] * t
-                continue
-            # one transform call per (t, mode): the decay node, then the
-            # Gauss-Legendre nodes of the panels [0, split] and [split, omega_t]
-            omega_t = n * math.pi * math.sqrt(4.0 * k * t)
-            split = min(omega_t, 14.0)
-            mids = np.array([0.5 * split, 0.5 * (split + omega_t)])
-            rads = np.array([0.5 * split, 0.5 * (omega_t - split)])
-            pts = mids[:, None] + rads[:, None] * _GL_NODES
-            g = gaussian_cosine_transform(np.concatenate(([omega_t], pts.ravel())))
-            mem = rads @ ((g[1:].reshape(pts.shape) * pts) @ _GL_WEIGHTS)
-            mem /= 2.0 * k * (n * math.pi) ** 2
-            amps[n] = a[n] * g[0] + b[n] * mem
+        decay, memory = _transform_factors(lam, t)
+        amps = np.concatenate(([a[0] + b[0] * t], a[1:] * decay + b[1:] * memory))
         form_b[row] = amps @ cosmat
     return float(np.max(np.abs(form_a - form_b)))

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heatrobin import verify
 from heatrobin.polyalg import Poly1, Poly2
 from heatrobin.solver import ProblemSpec, solve_problem
 from heatrobin.spectral import ModalSeries
 from heatrobin.verify import (
     GridSolution,
     _substeps,
+    _transform_factors,
     _tridiagonal_solver,
     crank_nicolson_reference,
     gaussian_cosine_transform,
@@ -268,3 +270,51 @@ def test_two_forms_agree_for_smooth_data():
     ts = np.linspace(0.2, 0.8, 3)
     small = two_forms_check(f, mu0, 0.25, xs=xs, ts=ts, n_max=16)
     assert small < 1e-8
+
+
+def _quartic_pair(rng):
+    return Poly1(tuple(rng.uniform(-2.0, 2.0, 5)), "x"), Poly1(tuple(rng.uniform(-2.0, 2.0, 5)), "x")
+
+
+def test_two_forms_check_rejects_empty_or_negative_ts():
+    f = Poly1((0.3, -0.2, 0.5), "x")
+    mu0 = Poly1((1.0, 0.0, -1.0), "x")
+    for ts in ([], [0.1, -0.01]):
+        with pytest.raises(ValueError, match="ts"):
+            two_forms_check(f, mu0, 0.25, ts=ts)
+    # t = 0 and a lone mean mode are valid edges, not errors
+    assert two_forms_check(f, mu0, 0.25, ts=[0.0, 0.5, 1.0]) <= 1e-14
+    assert two_forms_check(f, mu0, 0.25, n_max=1) <= 1e-14
+
+
+def test_transform_factors_pin_decay_and_memory():
+    # The decay is gaussian_cosine_transform itself: each cos argument
+    # Omega z carries a rounding error of about eps * Omega z, so near
+    # Omega = 800 (k = 4, n = 63) it reads up to 3.8e-15, hence 5e-15 there.
+    worst_decay = worst_memory = 0.0
+    for k in (0.25, 1.0, 4.0):
+        lam = k * (np.arange(1, 64) * math.pi) ** 2
+        for t in np.linspace(0.01, 1.0, 11):
+            decay, memory = _transform_factors(lam, float(t))
+            worst_decay = max(worst_decay, np.max(np.abs(decay - np.exp(-lam * t))))
+            worst_memory = max(worst_memory, np.max(np.abs(memory + np.expm1(-lam * t) / lam)))
+    assert worst_decay <= 5e-15
+    assert worst_memory <= 1e-15
+
+
+def test_two_forms_check_detects_a_perturbed_rate(monkeypatch):
+    f, mu0 = _quartic_pair(np.random.default_rng(8))
+    assert two_forms_check(f, mu0, 0.25) <= 1e-13
+    solve = verify.solve_neumann_neumann
+    monkeypatch.setattr(
+        verify, "solve_neumann_neumann", lambda f, mu0, k, n: solve(f, mu0, k * (1.0 + 1e-9), n)
+    )
+    assert two_forms_check(f, mu0, 0.25) > 1e-11
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0])
+def test_two_forms_agree_at_larger_diffusivity(k):
+    rng = np.random.default_rng(int(k))
+    for _ in range(3):
+        f, mu0 = _quartic_pair(rng)
+        assert two_forms_check(f, mu0, k, n_max=64) <= 1e-13
