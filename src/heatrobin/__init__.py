@@ -23,7 +23,6 @@ from .polyalg import (
     Poly2,
     gaussian_moment,
     half_factorial_coeff,
-    poly_eval,
     trig_poly_integral,
 )
 from .solver import (
@@ -60,7 +59,6 @@ __all__ = [
     "__version__",
     "Poly1",
     "Poly2",
-    "poly_eval",
     "half_factorial_coeff",
     "gaussian_moment",
     "trig_poly_integral",

@@ -27,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,84 +185,47 @@ def _write_csv(path: Path, xs: np.ndarray, ts: np.ndarray, grid: np.ndarray) -> 
 
 
 def _report_dict(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> dict:
-    eig = sol.modal.eigen
     return {
         "config": cfg.raw,
         "grid": {"M": cfg.M, "K": cfg.K, "t_min": cfg.t_min},
         "series": {"n_max": cfg.n_max, "tol": cfg.tol},
-        "profile": {
-            "parity": sol.profile.parity,
-            "coeffs": list(sol.profile.coeffs),
-            "d": sol.profile.d,
-            "c_t": sol.profile.c_t,
-            "warnings": list(sol.profile.warnings),
-        },
-        "poly_part": [list(row) for row in sol.poly_part.coeffs],
-        "eigen": {
-            "kind": eig.kind,
-            "k": eig.k,
-            "nu": eig.nu,
-            "l": eig.l,
-            "indices": list(eig.indices),
-            "offsets": list(eig.offsets),
-            "roots": list(eig.roots),
-            "residuals": list(eig.residuals),
-            "brackets": [list(b) for b in eig.brackets],
-        },
+        "profile": asdict(sol.profile),
+        "poly_part": sol.poly_part.coeffs,
+        "eigen": asdict(sol.modal.eigen),
         "modal": {
-            "amplitudes": list(sol.modal.amplitudes),
+            "amplitudes": sol.modal.amplitudes,
             "offset": sol.modal.offset,
             "trig": sol.modal.trig,
         },
-        "compatibility_defect": sol.compatibility_defect,
-        "diagnostics": list(sol.diagnostics),
-        "verification": {
-            "pde_residual_max": verification.pde_residual_max,
-            "bc_residual_left": verification.bc_residual_left,
-            "bc_residual_right": verification.bc_residual_right,
-            "initial_l2_error": verification.initial_l2_error,
-            "oracle_max_diff": verification.oracle_max_diff,
-            "compatibility_defect": verification.compatibility_defect,
-            "diagnostics": list(verification.diagnostics),
-        },
+        "compatibility_defect": sol.problem.compatibility_defect(),
+        "diagnostics": sol.diagnostics,
+        "verification": asdict(verification),
     }
+
+
+def _tuples(value):
+    """A JSON value with every list turned into a tuple, nested lists too."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _from_section(cls, section: dict):
+    return cls(**{name: _tuples(v) for name, v in section.items()})
 
 
 def rebuild_solution(report: dict) -> SemiAnalyticSolution:
     """Reconstruct the solution object a report describes, without re-running
     the matching pipeline. Evaluating it reproduces the original CSV
     byte-for-byte (pure float data in, deterministic evaluation out)."""
-    cfg = parse_config(report["config"])
-    prof = report["profile"]
-    profile = ExtensionProfile(
-        prof["parity"],
-        tuple(prof["coeffs"]),
-        prof["d"],
-        prof["c_t"],
-        tuple(prof["warnings"]),
-    )
-    poly_part = Poly2(tuple(tuple(row) for row in report["poly_part"]))
-    e = report["eigen"]
-    eigen = EigenSystem(
-        e["kind"],
-        e["k"],
-        e["nu"],
-        e["l"],
-        tuple(e["indices"]),
-        tuple(e["offsets"]),
-        tuple(e["roots"]),
-        tuple(e["residuals"]),
-        tuple(tuple(b) for b in e["brackets"]),
-    )
     m = report["modal"]
-    modal = ModalSeries(eigen, tuple(m["amplitudes"]), m["offset"])
+    modal = ModalSeries(
+        _from_section(EigenSystem, report["eigen"]), _tuples(m["amplitudes"]), m["offset"]
+    )
     return SemiAnalyticSolution(
-        poly_part=poly_part,
+        poly_part=Poly2(_tuples(report["poly_part"])),
         modal=modal,
-        profile=profile,
-        problem=cfg.problem,
-        compatibility_defect=report["compatibility_defect"],
-        diagnostics=tuple(report["diagnostics"]),
+        profile=_from_section(ExtensionProfile, report["profile"]),
+        problem=parse_config(report["config"]).problem,
+        diagnostics=_tuples(report["diagnostics"]),
     )
 
 

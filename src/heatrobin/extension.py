@@ -61,9 +61,9 @@ class ExtensionProfile:
 
     For parity 'even' the data is mu(x) = sum_i coeffs[i] * x**(2i); for
     parity 'odd' it is sum_i coeffs[i] * x**(2i+1). `d` is the constant term
-    of the boundary target the profile was matched against; `c_t` is the
-    constant offset carried by the modal correction series (assigned by the
-    solver, zero until then).
+    of the boundary target the profile was matched against. `c_t` is 0.0
+    for every solve (the matching consumes the whole target) and `warnings`
+    is empty; both are kept as report.json keys.
     """
 
     parity: str
@@ -304,10 +304,9 @@ def _solve_upper(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return a
 
 
-def match_boundary_polynomial(
-    target: Poly1, k: float, nu: float, l: float, parity: str = "even"
-) -> ExtensionProfile:
-    """Find profile coefficients whose evolved Robin trace equals `target`.
+def match_boundary_polynomial(target: Poly1, system: CoefficientSystem) -> ExtensionProfile:
+    """Find profile coefficients whose evolved Robin trace equals `target`,
+    solving `system` (which must have order target.degree + 1) for its parity.
 
     Solves the upper-triangular system by back-substitution. In exact
     arithmetic its diagonal never vanishes for positive parameters: entry j
@@ -318,13 +317,15 @@ def match_boundary_polynomial(
     then amplifies rounding by about the inverse of that ratio and misses
     the target, so SingularSystemError is raised instead.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if target.coeffs and target.variable != "t":
         raise ValueError("target must be a polynomial in t")
     N = max(target.degree, 0)
+    if N != system.order - 1:
+        raise ValueError(
+            f"target of degree {N} needs a system of order {N + 1}, got {system.order}"
+        )
     rhs = np.array([target.coeff(j) for j in range(N + 1)])
-    mat = build_coefficient_system(N, k, nu, l, parity).array
+    mat = system.array
     colscale = np.maximum(np.abs(mat).max(axis=0), 1.0)
     tiny = np.flatnonzero(np.abs(np.diagonal(mat)) <= 1e-12 * colscale)
     if tiny.size:
@@ -336,4 +337,4 @@ def match_boundary_polynomial(
         )
     coeffs = _solve_upper(mat, rhs)
     d = float(target(0.0)) if target.coeffs else 0.0
-    return ExtensionProfile(parity, tuple(coeffs), d)
+    return ExtensionProfile(system.parity, tuple(coeffs), d)

@@ -20,7 +20,6 @@ from numpy.polynomial import polynomial as npoly
 __all__ = [
     "Poly1",
     "Poly2",
-    "poly_eval",
     "half_factorial_coeff",
     "gaussian_moment",
     "trig_poly_integral",
@@ -247,11 +246,6 @@ class Poly2:
         if all(i % 2 == 1 for i in powers):
             return "odd"
         return "mixed"
-
-
-def poly_eval(p: Poly2, x: float, t: float) -> float:
-    """Evaluate a bivariate polynomial at a point."""
-    return float(p(x, t))
 
 
 def half_factorial_coeff(j: int) -> Fraction:

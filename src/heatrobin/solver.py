@@ -12,12 +12,13 @@ the solver builds the solution as poly_part + modal correction:
 2. target(t) = T0(t) - robin_trace(u_p): boundary data left for the
    homogeneous part.
 3. Profile coefficients are matched so the evolved profile's trace equals
-   target exactly; d = target(0).
-4. c_t = T0(0) - d shifts the correction problem so its Robin condition is
-   homogeneous (identically zero here whenever the matching consumed the
-   whole target, since the particular solution vanishes at t = 0).
-5. The remaining initial mismatch mu0 - mu - c_t is expanded in the Robin
+   target exactly, through one triangular system; d = target(0). The
+   matching consumes the whole target, so the correction problem's Robin
+   condition is already homogeneous and needs no constant shift.
+4. The remaining initial mismatch mu0 - mu is expanded in the Robin
    eigenbasis and decays as exp(-sigma_n^2 k t).
+5. The same system is compared entry by entry with the subtracted-flux
+   variant tabulation, as a diagnostic.
 
 The insulated rod (neumann_neumann: u_x = 0 at both ends) on the unit
 interval with a static source needs no polynomial part: solve_neumann_neumann
@@ -28,7 +29,7 @@ same ModalSeries the Robin solve uses, with a source-memory term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,16 +118,15 @@ class ProblemSpec:
 class SemiAnalyticSolution:
     """poly_part(x,t) plus the damped modal correction series.
 
-    The constant offset c_t rides with the modal series (its `offset` field),
-    so evaluation is always poly_part + series and the polynomial part solves
-    the forced equation coefficient-exactly on its own.
+    The polynomial part solves the forced equation coefficient-exactly on its
+    own and the series (with a zero `offset`) carries the initial mismatch.
+    The corner defect is problem.compatibility_defect().
     """
 
     poly_part: Poly2
     modal: ModalSeries
     profile: ExtensionProfile
     problem: ProblemSpec
-    compatibility_defect: float
     diagnostics: tuple[str, ...]
 
     def __call__(self, x: float, t: float, tol: float = 1e-10) -> float:
@@ -150,18 +150,15 @@ def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> 
 
     u_p = duhamel_poly(problem.F, k, parity)
     target = problem.T0 - robin_trace(u_p, k, nu, l)
-    profile = match_boundary_polynomial(target, k, nu, l, parity)
-    c_t = float(problem.T0(0.0)) - profile.d
-    profile = replace(profile, c_t=c_t)
-    u1 = evolve_profile(profile, k)
-    poly_part = u1 + u_p
+    system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
+    profile = match_boundary_polynomial(target, system)
+    poly_part = evolve_profile(profile, k) + u_p
 
-    residual0 = problem.mu0 - profile.mu_poly() - c_t
     eigen = eigenvalues(problem.boundary, k, nu, l, n_max)
-    amplitudes = fourier_coeffs(eigen, residual0)
-    modal = ModalSeries(eigen, tuple(amplitudes), offset=c_t)
+    amplitudes = fourier_coeffs(eigen, problem.mu0 - profile.mu_poly())
+    modal = ModalSeries(eigen, tuple(amplitudes))
 
-    diagnostics = list(profile.warnings)
+    diagnostics = []
     formulas = {
         "(0, 0)": "mu0(0)" if problem.boundary == "dirichlet_robin" else "k*mu0'(0)",
         "(l, 0)": "k*mu0'(l) + nu*(mu0(l) - T0(0))",
@@ -173,7 +170,6 @@ def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> 
             f"series absorbs the jump in the L2 sense but pointwise accuracy "
             f"near t = 0 degrades"
         )
-    system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
     diagnostics.extend(matrix_discrepancy_report(system))
 
     return SemiAnalyticSolution(
@@ -181,7 +177,6 @@ def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> 
         modal=modal,
         profile=profile,
         problem=problem,
-        compatibility_defect=problem.compatibility_defect(),
         diagnostics=tuple(diagnostics),
     )
 

@@ -198,6 +198,10 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
 _T_STEP = 1e-30
 _X_STEP = 1e-3
 _X_DIRECTION = complex(math.sqrt(0.5), math.sqrt(0.5))
+# Points per axis of the probe grid, and the real step of the boundary
+# conditions' central differences.
+_PROBE_POINTS = 41
+_BC_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -216,18 +220,12 @@ class VerificationReport:
 
 
 def residual_report(
-    sol: SemiAnalyticSolution,
-    problem: ProblemSpec | None = None,
-    *,
-    nx: int = 41,
-    nt: int = 41,
-    t_min: float = 0.01,
-    step: float = 1e-4,
-    oracle: GridSolution | None = None,
+    sol: SemiAnalyticSolution, *, t_min: float = 0.01, oracle: GridSolution | None = None
 ) -> VerificationReport:
-    """Residuals of the interior equation and both boundary conditions on
-    [0,l] x [t_min,T], the exact L2 size of the initial mismatch, and an
-    optional comparison against a reference grid.
+    """Residuals of the interior equation and both boundary conditions of
+    sol.problem on a 41 x 41 grid of [0,l] x [t_min,T], the exact L2 size of
+    the initial mismatch, and an optional comparison against a reference
+    grid.
 
     The interior equation is probed with complex steps (Squire & Trapp,
     SIAM Rev. 40, 1998), evaluating the solution off the real axis:
@@ -240,20 +238,19 @@ def residual_report(
     error is g^4 u_xxxxxx / 360 and its rounding error about
     eps |u_x| / g. A real central difference would lose step^2 u_ttt / 6,
     which near an incompatible corner dwarfs the residual itself. The
-    boundary conditions use central differences of the given step. The
+    boundary conditions use real central differences of step 1e-4. The
     t >= t_min window keeps the probe away from the start line, where
     incompatible corner data makes derivatives blow up; the oracle
     comparison uses the same window.
     """
-    if problem is None:
-        problem = sol.problem
+    problem = sol.problem
     k, nu, l, T = problem.k, problem.nu, problem.l, problem.T
-    xs = np.linspace(0.0, l, nx)
-    ts = np.linspace(t_min, T, nt)
+    xs = np.linspace(0.0, l, _PROBE_POINTS)
+    ts = np.linspace(t_min, T, _PROBE_POINTS)
 
     u0 = sol.on_grid(xs, ts)
-    uxp = sol.on_grid(xs + step, ts)
-    uxm = sol.on_grid(xs - step, ts)
+    uxp = sol.on_grid(xs + _BC_STEP, ts)
+    uxm = sol.on_grid(xs - _BC_STEP, ts)
 
     u_t = sol.on_grid(xs, ts + 1j * _T_STEP).imag / _T_STEP
     g = _X_STEP * l
@@ -264,8 +261,8 @@ def residual_report(
     if problem.boundary == "dirichlet_robin":
         left = np.max(np.abs(u0[:, 0]))
     else:
-        left = np.max(np.abs((uxp[:, 0] - uxm[:, 0]) / (2.0 * step)))
-    u_x_right = (uxp[:, -1] - uxm[:, -1]) / (2.0 * step)
+        left = np.max(np.abs((uxp[:, 0] - uxm[:, 0]) / (2.0 * _BC_STEP)))
+    u_x_right = (uxp[:, -1] - uxm[:, -1]) / (2.0 * _BC_STEP)
     right = np.max(np.abs(k * u_x_right + nu * (u0[:, -1] - problem.T0(ts))))
 
     # Parseval: the modal amplitudes are exact projections of the initial
@@ -372,6 +369,8 @@ def two_forms_check(f, mu0, k: float, xs=None, ts=None, n_max: int = 24) -> floa
     """
     xs = np.linspace(0.0, 1.0, 21) if xs is None else np.asarray(xs, dtype=float)
     ts = np.linspace(0.01, 1.0, 11) if ts is None else np.asarray(ts, dtype=float)
+    if xs.size == 0:
+        raise ValueError("xs must be non-empty")
     if ts.size == 0 or not np.all(ts >= 0.0):
         raise ValueError("ts must be non-empty with every t >= 0")
 

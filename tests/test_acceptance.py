@@ -213,7 +213,8 @@ def test_criterion_8_property_suites():
         nu = float(rng.uniform(0.25, 1.0))
         l = float(rng.uniform(0.5, 1.5))
         parity = "even" if rng.integers(0, 2) == 0 else "odd"
-        prof = match_boundary_polynomial(target, k, nu, l, parity)
+        system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
+        prof = match_boundary_polynomial(target, system)
         back = robin_trace(prof.evolve(k), k, nu, l)
         n = max(target.degree, back.degree) + 1
         round_trip = max(

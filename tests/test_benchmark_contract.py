@@ -1,0 +1,50 @@
+"""The benchmark (perfbench/) drives heatrobin through its CLI and library
+calls and checks what comes back. These runs keep that contract in the
+tier-1 suite: a report key that VerificationReport(**v) needs, the `tol`
+argument of solve_problem, or ModalSeries.offset going away makes every
+benchmark op fail, and shows up here first."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+# perfbench's modules import each other by these top-level names.
+MODULES = ("calib", "checks", "gen", "spans", "workload")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in MODULES:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("gen"), importlib.import_module("workload")
+    for name in MODULES:
+        sys.modules.pop(name, None)
+
+
+def _execute_and_check(run, op) -> int:
+    _, result = run.execute(op)
+    return run.check(op, result)
+
+
+def test_cli_ops_pass_the_benchmark_checks(perfbench, tmp_path):
+    gen, workload = perfbench
+    run = workload.Run(0, tmp_path, calibrate=False)
+    for cmd in ("solve", "verify"):
+        op = gen.Op(f"{cmd}:ex2", cmd, ROOT / "configs" / "ex2.json")
+        assert _execute_and_check(run, op) > 0
+    assert run.rows_failed == {"verify:ex2": 0}
+
+
+def test_library_sessions_pass_the_benchmark_checks(perfbench, tmp_path):
+    gen, workload = perfbench
+    run = workload.Run(3, tmp_path, calibrate=False)
+    ops = gen.cycle_ops("library_spectral", 3, ROOT, tmp_path)[:2]
+    for op in ops:
+        _execute_and_check(run, op)
+    assert run.points == 2 * len(gen.session_lattice(1.0, 1.0))

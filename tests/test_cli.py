@@ -76,6 +76,22 @@ def test_report_rebuild_regenerates_identical_csv(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "solution.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "dirichlet_robin"])
+def test_report_rebuilds_an_equal_solution(tmp_path, name):
+    root = Path(__file__).resolve().parents[1]
+    if name == "dirichlet_robin":
+        raw = {
+            "k": 0.25, "nu": 0.5, "l": 1.0, "T": 1.0, "boundary": "dr",
+            "mu0": [0, 1, 0, 2], "F": [[0, 0], [1, -2], [0, 0], [1, 0]], "T0": [4, 1, -1],
+        }
+    else:
+        raw = json.loads((root / "configs" / f"{name}.json").read_text())
+    cfg = cli.parse_config(raw)
+    sol = cli.solve_problem(cfg.problem, n_max=cfg.n_max)
+    report = cli._report_dict(cfg, sol, cli.residual_report(sol, t_min=cfg.t_min))
+    assert cli.rebuild_solution(json.loads(json.dumps(report))) == sol
+
+
 def _f_string_writer(path, xs, ts, grid):
     # the per-point f-string writer the streaming _write_csv replaced
     lines = ["x,t,u"]

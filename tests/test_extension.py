@@ -233,7 +233,8 @@ def test_match_round_trip_reproduces_target():
         l = float(rng.uniform(0.5, 1.5))
         parity = "even" if rng.integers(0, 2) == 0 else "odd"
         target = Poly1(tuple(rng.uniform(-3, 3, int(rng.integers(1, 6)))), "t")
-        prof = match_boundary_polynomial(target, k, nu, l, parity)
+        system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
+        prof = match_boundary_polynomial(target, system)
         assert prof.parity == parity
         assert prof.warnings == ()
         assert prof.d == pytest.approx(target(0.0), abs=1e-14)
@@ -251,24 +252,38 @@ def test_match_round_trip_wide_domain_scaled():
         k, nu, l = (float(v) for v in rng.uniform(0.2, 2.5, 3))
         parity = "even" if rng.integers(0, 2) == 0 else "odd"
         target = Poly1(tuple(rng.uniform(-3, 3, int(rng.integers(1, 8)))), "t")
-        prof = match_boundary_polynomial(target, k, nu, l, parity)
+        system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
+        prof = match_boundary_polynomial(target, system)
         back = robin_trace(prof.evolve(k), k, nu, l)
         n = max(target.degree, back.degree) + 1
         diff = max(abs(back.coeff(j) - target.coeff(j)) for j in range(n))
-        mat = build_coefficient_system(max(target.degree, 0), k, nu, l, parity).array
+        mat = system.array
         scale = max(1.0, float(np.abs(mat).max()))
         assert diff < 1e-13 * scale, (k, nu, l, parity, diff, scale)
 
 
 def test_match_validates_target_variable_and_parity():
     with pytest.raises(ValueError, match="in t"):
-        match_boundary_polynomial(Poly1((1.0, 2.0), "x"), 1.0, 1.0, 1.0, "even")
+        match_boundary_polynomial(
+            Poly1((1.0, 2.0), "x"), build_coefficient_system(1, 1.0, 1.0, 1.0, "even")
+        )
     with pytest.raises(ValueError, match="parity"):
-        match_boundary_polynomial(Poly1((1.0,), "t"), 1.0, 1.0, 1.0, "mixed")
+        build_coefficient_system(0, 1.0, 1.0, 1.0, "mixed")
     # zero target matches the zero profile
-    prof = match_boundary_polynomial(Poly1((), "t"), 0.25, 0.5, 1.0, "even")
+    prof = match_boundary_polynomial(
+        Poly1((), "t"), build_coefficient_system(0, 0.25, 0.5, 1.0, "even")
+    )
     assert prof.mu_poly().is_zero()
     assert prof.d == 0.0
+
+
+def test_match_rejects_a_system_of_the_wrong_order():
+    target = Poly1((1.0, 2.0, 3.0), "t")
+    for N in (0, 1, 3):
+        with pytest.raises(ValueError, match="degree 2 needs a system of order 3"):
+            match_boundary_polynomial(target, build_coefficient_system(N, 0.25, 0.5, 1.0))
+    with pytest.raises(ValueError, match="order 1"):
+        match_boundary_polynomial(Poly1((), "t"), build_coefficient_system(2, 0.25, 0.5, 1.0))
 
 
 def test_match_singular_system_raises():
@@ -277,7 +292,9 @@ def test_match_singular_system_raises():
     target = Poly1((-1.589, 1.643, -0.487, 1.881, 1.637, -0.824, -0.986, -0.092, -1.599), "t")
     for parity in ("even", "odd"):
         with pytest.raises(SingularSystemError, match="pivot"):
-            match_boundary_polynomial(target, 0.054, 0.152, 5.5463, parity)
+            match_boundary_polynomial(
+                target, build_coefficient_system(8, 0.054, 0.152, 5.5463, parity)
+            )
 
 
 def _kernel_convolution_trace(prof: ExtensionProfile, k: float, nu: float, l: float, t: float) -> float:

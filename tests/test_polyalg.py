@@ -12,7 +12,6 @@ from heatrobin.polyalg import (
     Poly2,
     gaussian_moment,
     half_factorial_coeff,
-    poly_eval,
     trig_poly_integral,
 )
 
@@ -108,7 +107,7 @@ def test_poly2_monomial_and_restrictions():
     assert Poly2.from_x_poly(px)(0.3, 9.9) == pytest.approx(px(0.3), abs=1e-15)
     pt = Poly1((1.0, 2.0), "t")
     assert Poly2.from_t_poly(pt)(9.9, 0.3) == pytest.approx(pt(0.3), abs=1e-15)
-    assert poly_eval(q, 2.0, 0.5) == pytest.approx(6.0, abs=1e-15)
+    assert float(q(2.0, 0.5)) == pytest.approx(6.0, abs=1e-15)
 
 
 def test_poly2_grid_matches_pointwise():

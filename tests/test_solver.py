@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from heatrobin import extension, solver
 from heatrobin.polyalg import Poly1, Poly2
 from heatrobin.solver import (
     ProblemSpec,
@@ -110,6 +111,22 @@ def test_constant_offset_vanishes_when_matching_is_complete():
         assert sol.modal.offset == 0.0
 
 
+def test_solve_builds_one_matching_system(monkeypatch):
+    calls = []
+    build = extension.build_coefficient_system
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(extension, "build_coefficient_system", counted)
+    monkeypatch.setattr(solver, "build_coefficient_system", counted)
+    for ex in (EX1, EX2):
+        calls.clear()
+        solve_problem(_nr_problem(**ex))
+        assert len(calls) == 1
+
+
 def test_point_evaluation_matches_grid():
     sol = solve_problem(_nr_problem(**EX1), n_max=48)
     for x, t in [(0.0, 0.2), (0.7, 0.01), (1.0, 1.0)]:
@@ -122,11 +139,11 @@ def test_corner_mismatch_raises_diagnostic():
     for ex in (EX1, EX2):
         compat = solve_problem(_nr_problem(**ex))
         assert not any("corner" in d for d in compat.diagnostics)
-        assert compat.compatibility_defect == 0.0
+        assert compat.problem.compatibility_defect() == 0.0
     mismatched = solve_problem(
         _nr_problem((1.0, 0.0, 3.0, 1.0), ((2.0, 5.0),), (1.0, 3.0))
     )
-    assert abs(mismatched.compatibility_defect - 4.25) < 1e-14
+    assert abs(mismatched.problem.compatibility_defect() - 4.25) < 1e-14
     assert any("inconsistent at the corner" in d for d in mismatched.diagnostics)
     assert any("trace matrix entry" in d for d in mismatched.diagnostics)
 

@@ -282,6 +282,8 @@ def test_two_forms_check_rejects_empty_or_negative_ts():
     for ts in ([], [0.1, -0.01]):
         with pytest.raises(ValueError, match="ts"):
             two_forms_check(f, mu0, 0.25, ts=ts)
+    with pytest.raises(ValueError, match="xs"):
+        two_forms_check(f, mu0, 0.25, xs=[])
     # t = 0 and a lone mean mode are valid edges, not errors
     assert two_forms_check(f, mu0, 0.25, ts=[0.0, 0.5, 1.0]) <= 1e-14
     assert two_forms_check(f, mu0, 0.25, n_max=1) <= 1e-14
