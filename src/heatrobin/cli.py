@@ -64,12 +64,23 @@ class RunConfig:
     raw: dict
 
 
+def _is_finite(v) -> bool:
+    """A JSON number that is a finite float: not a bool, NaN, +-Infinity, or
+    an integer or literal (1e999) beyond the float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _number(raw: dict, field: str) -> float:
     if field not in raw:
         raise ConfigError(f"field {field!r} is required")
     v = raw[field]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field {field!r} must be a number, got {v!r}")
+    if not _is_finite(v):
+        raise ConfigError(f"field {field!r} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -77,10 +88,8 @@ def _coeff_list(raw: dict, field: str) -> tuple[float, ...]:
     if field not in raw:
         raise ConfigError(f"field {field!r} is required")
     v = raw[field]
-    if not isinstance(v, list) or any(
-        isinstance(c, bool) or not isinstance(c, (int, float)) for c in v
-    ):
-        raise ConfigError(f"field {field!r} must be an array of numbers")
+    if not isinstance(v, list) or not all(map(_is_finite, v)):
+        raise ConfigError(f"field {field!r} must be an array of finite numbers")
     return tuple(float(c) for c in v)
 
 
@@ -92,8 +101,8 @@ def _coeff_rows(raw: dict, field: str) -> tuple[tuple[float, ...], ...]:
         raise ConfigError(f"field {field!r} must be an array of coefficient rows")
     rows = []
     for i, row in enumerate(v):
-        if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in row):
-            raise ConfigError(f"field {field!r} row {i} must contain only numbers")
+        if not all(map(_is_finite, row)):
+            raise ConfigError(f"field {field!r} row {i} must contain only finite numbers")
         rows.append(tuple(float(c) for c in row))
     return tuple(rows)
 
@@ -138,8 +147,8 @@ def parse_config(raw: dict) -> RunConfig:
     M = _int_in(grid, "M", 200, 8, 10000)
     K = _int_in(grid, "K", 200, 8, 10000)
     t_min = grid.get("t_min", 0.01)
-    if isinstance(t_min, bool) or not isinstance(t_min, (int, float)):
-        raise ConfigError("field 't_min' must be a number")
+    if not _is_finite(t_min):
+        raise ConfigError("field 't_min' must be a finite number")
     t_min = float(t_min)
     if not (0.0 < t_min < problem.T):
         raise ConfigError(f"field 't_min' must lie strictly inside (0, T), got {t_min}")
@@ -149,8 +158,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("field 'series' must be an object")
     n_max = _int_in(series, "n_max", 64, 1, 1024)
     tol = series.get("tol", 1e-10)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
-        raise ConfigError("field 'tol' must be a positive number")
+    if not _is_finite(tol) or not tol > 0:
+        raise ConfigError("field 'tol' must be a positive finite number")
     return RunConfig(problem, M, K, t_min, n_max, float(tol), raw)
 
 
@@ -201,6 +210,19 @@ def _report_dict(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> dic
         "diagnostics": sol.diagnostics,
         "verification": asdict(verification),
     }
+
+
+def _report_text(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> str | None:
+    """The report as strict JSON, or, after printing why, None when it holds
+    a NaN or an infinity (parameters that overflow a float)."""
+    try:
+        text = json.dumps(
+            _report_dict(cfg, sol, verification), indent=2, sort_keys=True, allow_nan=False
+        )
+    except ValueError as exc:
+        print(f"solver error: the report holds a non-finite value ({exc})", file=sys.stderr)
+        return None
+    return text + "\n"
 
 
 def _tuples(value):
@@ -255,13 +277,14 @@ def cmd_solve(config: str, out: str) -> int:
     if isinstance(loaded, int):
         return loaded
     cfg, sol = loaded
+    report = _report_text(cfg, sol, residual_report(sol, t_min=cfg.t_min))
+    if report is None:
+        return 3
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     xs, ts = _solution_grids(cfg)
     _write_csv(outdir / "solution.csv", xs, ts, sol.on_grid(xs, ts))
-    verification = residual_report(sol, t_min=cfg.t_min)
-    report = _report_dict(cfg, sol, verification)
-    (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (outdir / "report.json").write_text(report)
     print(f"wrote {outdir / 'solution.csv'} and {outdir / 'report.json'}")
     return 0
 
@@ -274,6 +297,9 @@ def cmd_verify(config: str, out: str = ".") -> int:
     oracle = crank_nicolson_reference(cfg.problem, cfg.M, cfg.K)
     verification = residual_report(sol, t_min=cfg.t_min, oracle=oracle)
     rows = threshold_rows(verification, cfg.problem.boundary)
+    report = _report_text(cfg, sol, verification)
+    if report is None:
+        return 3
 
     width = max(len(name) for name, *_ in rows)
     print(f"{'check'.ljust(width)}  {'value':>13}  {'bound':>10}  status")
@@ -288,10 +314,7 @@ def cmd_verify(config: str, out: str = ".") -> int:
 
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    report = _report_dict(cfg, sol, verification)
-    (outdir / "verify_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    (outdir / "verify_report.json").write_text(report)
     return 0 if all(ok for *_, ok in rows) else 1
 
 

@@ -55,6 +55,14 @@ class SingularSystemError(ValueError):
     column, so back-substitution cannot reproduce the target."""
 
 
+def _parity_offset(parity: str) -> int:
+    """The x-power offset of a parity's basis: 0 for 'even' (x**(2i)), 1 for
+    'odd' (x**(2i+1)). Any other parity raises ValueError."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return 0 if parity == "even" else 1
+
+
 @dataclass(frozen=True)
 class ExtensionProfile:
     """Polynomial initial data for the whole-line extension.
@@ -73,28 +81,18 @@ class ExtensionProfile:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+        _parity_offset(self.parity)
         object.__setattr__(self, "coeffs", tuple(float(v) for v in self.coeffs))
 
     def mu_poly(self) -> Poly1:
         """The profile as a polynomial in x."""
-        off = 0 if self.parity == "even" else 1
+        off = _parity_offset(self.parity)
         if not self.coeffs:
             return Poly1((), "x")
         c = [0.0] * (2 * (len(self.coeffs) - 1) + off + 1)
         for i, v in enumerate(self.coeffs):
             c[2 * i + off] = v
         return Poly1(tuple(c), "x")
-
-    def trace_constant(self, k: float, nu: float, l: float) -> float:
-        """mu(l) + (k/nu) * mu'(l): what the stored d must equal when the
-        profile came from a genuine trace matching."""
-        mu = self.mu_poly()
-        return float(mu(l) + (k / nu) * mu.deriv()(l))
-
-    def evolve(self, k: float) -> Poly2:
-        return evolve_profile(self, k)
 
 
 @dataclass(frozen=True)
@@ -158,15 +156,11 @@ def evolve_odd_poly(a, k: float) -> Poly2:
 
 
 def evolve_profile(profile: ExtensionProfile, k: float) -> Poly2:
-    if profile.parity == "even":
-        return evolve_even_poly(profile.coeffs, k)
-    return evolve_odd_poly(profile.coeffs, k)
+    return _evolve_table(profile.coeffs, k, _parity_offset(profile.parity))
 
 
 def _check_parity(F: Poly2, parity: str) -> None:
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    want = 0 if parity == "even" else 1
+    want = _parity_offset(parity)
     for i, row in enumerate(F.coeffs):
         if i % 2 == want:
             continue
@@ -234,14 +228,12 @@ def build_coefficient_system(
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    evolve = evolve_even_poly if parity == "even" else evolve_odd_poly
+    off = _parity_offset(parity)
     mat = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
         e = [0.0] * (i + 1)
         e[i] = 1.0
-        col = robin_trace(evolve(e, k), k, nu, l)
+        col = robin_trace(_evolve_table(e, k, off), k, nu, l)
         for j, v in enumerate(col.coeffs):
             mat[j, i] = v
     return CoefficientSystem(parity, float(k), float(nu), float(l), tuple(map(tuple, mat)))
@@ -260,7 +252,7 @@ def flux_sign_variant_matrix(
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    off = 0 if parity == "even" else 1
+    off = _parity_offset(parity)
     mat = np.zeros((N + 1, N + 1))
     lq = Fraction(l)
     for i in range(N + 1):

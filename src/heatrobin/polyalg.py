@@ -21,7 +21,6 @@ __all__ = [
     "Poly1",
     "Poly2",
     "half_factorial_coeff",
-    "gaussian_moment",
     "trig_poly_integral",
 ]
 
@@ -148,20 +147,6 @@ class Poly2:
     def zero(cls) -> "Poly2":
         return cls(())
 
-    @classmethod
-    def monomial(cls, i: int, m: int, coef: float = 1.0) -> "Poly2":
-        a = np.zeros((i + 1, m + 1))
-        a[i, m] = coef
-        return cls(tuple(map(tuple, a)))
-
-    @classmethod
-    def from_x_poly(cls, p: Poly1) -> "Poly2":
-        return cls(tuple((c,) for c in p.coeffs))
-
-    @classmethod
-    def from_t_poly(cls, p: Poly1) -> "Poly2":
-        return cls((tuple(p.coeffs),) if p.coeffs else ())
-
     @property
     def array(self) -> np.ndarray:
         if not self.coeffs:
@@ -200,21 +185,9 @@ class Poly2:
             other = Poly2(((float(other),),))
         return self._binary(other, -1.0)
 
-    def __neg__(self):
-        return Poly2(tuple(tuple(-v for v in row) for row in self.coeffs))
-
     def __mul__(self, other):
-        if not isinstance(other, Poly2):
-            return Poly2(tuple(tuple(float(other) * v for v in row) for row in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return Poly2.zero()
-        a, b = self.array, other.array
-        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-        for i in range(a.shape[0]):
-            for m in range(a.shape[1]):
-                if a[i, m] != 0.0:
-                    out[i : i + b.shape[0], m : m + b.shape[1]] += a[i, m] * b
-        return Poly2(tuple(map(tuple, out)))
+        """Scaling by a number."""
+        return Poly2(tuple(tuple(float(other) * v for v in row) for row in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -236,17 +209,6 @@ class Poly2:
         """Restriction t = v, as a polynomial in x."""
         return Poly1(tuple(np.atleast_1d(npoly.polyval(v, self.array.T))), "x")
 
-    def x_parity(self) -> str:
-        """'zero', 'even', 'odd', or 'mixed' according to which x powers occur."""
-        powers = {i for i, row in enumerate(self.coeffs) if any(v != 0.0 for v in row)}
-        if not powers:
-            return "zero"
-        if all(i % 2 == 0 for i in powers):
-            return "even"
-        if all(i % 2 == 1 for i in powers):
-            return "odd"
-        return "mixed"
-
 
 def half_factorial_coeff(j: int) -> Fraction:
     """The exact ratio (2j-1)!!/2**j, i.e. the normalized even Gaussian moment.
@@ -256,17 +218,6 @@ def half_factorial_coeff(j: int) -> Fraction:
     if j < 0:
         raise ValueError("j must be nonnegative")
     return Fraction(math.factorial(2 * j), 4**j * math.factorial(j))
-
-
-def gaussian_moment(j: int, s: float) -> float:
-    """Normalized even moment: integral of y**(2j) * (pi*s)**-0.5 * exp(-y**2/s) over the line.
-
-    Equals half_factorial_coeff(j) * s**j. Odd moments vanish by symmetry and
-    are not exposed.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    return float(half_factorial_coeff(j)) * s**j
 
 
 def trig_poly_integral(

@@ -13,6 +13,7 @@ from heatrobin.extension import (
     build_coefficient_system,
     duhamel_poly,
     evolve_even_poly,
+    evolve_profile,
     flux_sign_variant_matrix,
     matrix_discrepancy_report,
     match_boundary_polynomial,
@@ -215,7 +216,7 @@ def test_criterion_8_property_suites():
         parity = "even" if rng.integers(0, 2) == 0 else "odd"
         system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
         prof = match_boundary_polynomial(target, system)
-        back = robin_trace(prof.evolve(k), k, nu, l)
+        back = robin_trace(evolve_profile(prof, k), k, nu, l)
         n = max(target.degree, back.degree) + 1
         round_trip = max(
             round_trip, max(abs(back.coeff(j) - target.coeff(j)) for j in range(n))

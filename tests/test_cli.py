@@ -151,6 +151,14 @@ def test_solve_is_deterministic_across_runs(tmp_path):
         (lambda c: c.update(grid={"M": 20000, "K": 40}), "M"),
         (lambda c: c.update(grid={"M": 40, "K": 40, "t_min": 2.0}), "t_min"),
         (lambda c: c.update(series={"tol": 0.0}), "tol"),
+        (lambda c: c.update(series={"tol": math.inf}), "tol"),
+        (lambda c: c.update(series={"tol": math.nan}), "tol"),
+        (lambda c: c.update(mu0=[1, 0, math.nan]), "mu0"),
+        (lambda c: c.update(mu0=[1, 0, -math.inf]), "mu0"),
+        (lambda c: c.update(F=[[0, math.inf]]), "'F' row 0"),
+        (lambda c: c.update(T0=[math.nan]), "T0"),
+        (lambda c: c.update(T0=[10**400]), "T0"),
+        (lambda c: c.update(k=10**400), "'k'"),
     ],
 )
 def test_config_rejections_exit_2(tmp_path, mutate, fragment):
@@ -182,6 +190,15 @@ def test_odd_source_under_flux_left_boundary_exits_3(tmp_path):
         assert proc.returncode == 3, (change, proc.stderr)
         assert "solver error" in proc.stderr
         assert fragment in proc.stderr
+    # finite data whose solution overflows: no report may hold NaN or Infinity
+    huge = _write_config(tmp_path, {**EX2, "mu0": [1e308, 0, 1e308], "grid": {"M": 20, "K": 20}})
+    for command in ("solve", "verify"):
+        out = tmp_path / command
+        proc = _run(command, "--config", huge, "--out", str(out))
+        assert proc.returncode == 3, (command, proc.stdout, proc.stderr)
+        assert "solver error:" in proc.stderr and "non-finite" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 def test_ragged_source_rows_are_zero_padded(tmp_path):

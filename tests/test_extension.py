@@ -74,7 +74,6 @@ def test_evolve_profile_dispatches_on_parity():
     assert evolve_profile(p_even, k).coeffs == evolve_even_poly((1.0, 2.0), k).coeffs
     p_odd = ExtensionProfile("odd", (1.0, 2.0), 0.0)
     assert evolve_profile(p_odd, k).coeffs == evolve_odd_poly((1.0, 2.0), k).coeffs
-    assert p_even.evolve(k).coeffs == evolve_even_poly((1.0, 2.0), k).coeffs
     with pytest.raises(ValueError, match="parity"):
         ExtensionProfile("both", (1.0,), 0.0)
 
@@ -151,6 +150,8 @@ def test_duhamel_parity_enforcement():
     G = Poly2(((0.0,), (1.0,)))  # x, odd
     with pytest.raises(ParityError, match="parity"):
         duhamel_poly(G, 1.0, "even")
+    with pytest.raises(ValueError, match="parity"):
+        duhamel_poly(F, 1.0, "mixed")
     with pytest.raises(ValueError, match="positive"):
         duhamel_poly(F, 0.0, "even")
     assert duhamel_poly(Poly2.zero(), 1.0, "even").is_zero()
@@ -172,8 +173,9 @@ def test_robin_trace_matches_direct_combination():
 def test_trace_constant_of_evolved_profile():
     prof = ExtensionProfile("even", (1.0, -0.5, 0.25), 0.0)
     k, nu, l = 0.25, 0.5, 1.0
-    tr = robin_trace(prof.evolve(k), k, nu, l)
-    assert abs(tr(0.0) - prof.trace_constant(k, nu, l)) < 1e-14
+    tr = robin_trace(evolve_profile(prof, k), k, nu, l)
+    mu = prof.mu_poly()
+    assert abs(tr(0.0) - (mu(l) + (k / nu) * mu.deriv()(l))) < 1e-14
 
 
 def test_generated_matrix_pinned_entries():
@@ -206,6 +208,9 @@ def test_flux_variant_matrix_pinned_entries():
         ]
     )
     assert np.array_equal(var, want)
+    # any parity but "even" used to give the odd matrix
+    with pytest.raises(ValueError, match="parity"):
+        flux_sign_variant_matrix(4, 0.25, 0.5, 1.0, "mixed")
 
 
 def test_discrepancy_report_itemizes_differing_entries():
@@ -238,7 +243,7 @@ def test_match_round_trip_reproduces_target():
         assert prof.parity == parity
         assert prof.warnings == ()
         assert prof.d == pytest.approx(target(0.0), abs=1e-14)
-        back = robin_trace(prof.evolve(k), k, nu, l)
+        back = robin_trace(evolve_profile(prof, k), k, nu, l)
         n = max(target.degree, back.degree) + 1
         diff = max(abs(back.coeff(j) - target.coeff(j)) for j in range(n))
         assert diff < 1e-10, (k, nu, l, parity, diff)
@@ -254,7 +259,7 @@ def test_match_round_trip_wide_domain_scaled():
         target = Poly1(tuple(rng.uniform(-3, 3, int(rng.integers(1, 8)))), "t")
         system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
         prof = match_boundary_polynomial(target, system)
-        back = robin_trace(prof.evolve(k), k, nu, l)
+        back = robin_trace(evolve_profile(prof, k), k, nu, l)
         n = max(target.degree, back.degree) + 1
         diff = max(abs(back.coeff(j) - target.coeff(j)) for j in range(n))
         mat = system.array
@@ -321,6 +326,6 @@ def test_evolved_trace_matches_kernel_convolution():
         t = float(rng.uniform(0.1, 1.0))
         parity = "even" if rng.integers(0, 2) == 0 else "odd"
         prof = ExtensionProfile(parity, tuple(rng.uniform(-2, 2, 3)), 0.0)
-        closed = robin_trace(prof.evolve(k), k, nu, l)(t)
+        closed = robin_trace(evolve_profile(prof, k), k, nu, l)(t)
         quad = _kernel_convolution_trace(prof, k, nu, l, t)
         assert abs(closed - quad) < 1e-8, (parity, k, nu, l, t, closed, quad)
