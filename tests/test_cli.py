@@ -151,14 +151,15 @@ def test_solve_is_deterministic_across_runs(tmp_path):
         (lambda c: c.update(grid={"M": 20000, "K": 40}), "M"),
         (lambda c: c.update(grid={"M": 40, "K": 40, "t_min": 2.0}), "t_min"),
         (lambda c: c.update(series={"tol": 0.0}), "tol"),
-        (lambda c: c.update(series={"tol": math.inf}), "tol"),
-        (lambda c: c.update(series={"tol": math.nan}), "tol"),
-        (lambda c: c.update(mu0=[1, 0, math.nan]), "mu0"),
-        (lambda c: c.update(mu0=[1, 0, -math.inf]), "mu0"),
-        (lambda c: c.update(F=[[0, math.inf]]), "'F' row 0"),
-        (lambda c: c.update(T0=[math.nan]), "T0"),
-        (lambda c: c.update(T0=[10**400]), "T0"),
-        (lambda c: c.update(k=10**400), "'k'"),
+        # non-finite numbers; explicit ids keep each case name unique
+        pytest.param(lambda c: c.update(series={"tol": math.inf}), "tol", id="tol-inf"),
+        pytest.param(lambda c: c.update(series={"tol": math.nan}), "tol", id="tol-nan"),
+        pytest.param(lambda c: c.update(mu0=[1, 0, math.nan]), "mu0", id="mu0-nan"),
+        pytest.param(lambda c: c.update(mu0=[1, 0, -math.inf]), "mu0", id="mu0-neg-inf"),
+        pytest.param(lambda c: c.update(F=[[0, math.inf]]), "'F' row 0", id="F-inf"),
+        pytest.param(lambda c: c.update(T0=[math.nan]), "T0", id="T0-nan"),
+        pytest.param(lambda c: c.update(T0=[10**400]), "T0", id="T0-overflow"),
+        pytest.param(lambda c: c.update(k=10**400), "'k'", id="k-overflow"),
     ],
 )
 def test_config_rejections_exit_2(tmp_path, mutate, fragment):
