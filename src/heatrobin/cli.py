@@ -24,6 +24,7 @@ so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -177,20 +178,21 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _write_csv(path: Path, xs: np.ndarray, ts: np.ndarray, grid: np.ndarray) -> None:
-    """Stream the x,t,u rows, time-major, one grid row at a time.
+def _write_csv(path: Path, xs: np.ndarray, ts: np.ndarray, rows) -> None:
+    """Stream the x,t,u rows, time-major, one grid row at a time; `rows` is
+    any iterable of 1-D rows, one per t (a 2-D array is one).
 
     Each coordinate is formatted once. Values go through `tolist()` so that
     `repr` sees Python floats (shortest round-trip digits), not numpy scalars.
     `Path.open("w")` uses the same encoding and newline handling as
     `Path.write_text`."""
     x_strs = [repr(x) for x in np.asarray(xs, dtype=float).tolist()]
-    values = np.asarray(grid, dtype=float)
     with path.open("w") as fh:
         fh.write("x,t,u\n")
-        for t, row in zip(np.asarray(ts, dtype=float).tolist(), values):
+        for t, row in zip(np.asarray(ts, dtype=float).tolist(), rows):
             mid = f",{t!r},"
-            fh.write("".join([f"{x}{mid}{u}\n" for x, u in zip(x_strs, map(repr, row.tolist()))]))
+            values = np.asarray(row, dtype=float).tolist()
+            fh.write("".join([f"{x}{mid}{u}\n" for x, u in zip(x_strs, map(repr, values))]))
 
 
 def _report_dict(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> dict:
@@ -283,7 +285,8 @@ def cmd_solve(config: str, out: str) -> int:
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     xs, ts = _solution_grids(cfg)
-    _write_csv(outdir / "solution.csv", xs, ts, sol.on_grid(xs, ts))
+    rows = itertools.chain.from_iterable(block for _, block in sol.row_blocks(xs, ts))
+    _write_csv(outdir / "solution.csv", xs, ts, rows)
     (outdir / "report.json").write_text(report)
     print(f"wrote {outdir / 'solution.csv'} and {outdir / 'report.json'}")
     return 0

@@ -42,7 +42,7 @@ from .extension import (
     matrix_discrepancy_report,
     robin_trace,
 )
-from .polyalg import Poly1, Poly2
+from .polyalg import Poly1, Poly2, grid_axis
 from .spectral import KINDS as BOUNDARY_KINDS
 from .spectral import ModalSeries, eigenvalues, evaluate_series, fourier_coeffs
 
@@ -136,6 +136,14 @@ class SemiAnalyticSolution:
         """Full-sum evaluation, shape (len(ts), len(xs)); complex xs or ts
         give the complex-analytic continuation."""
         return self.poly_part.grid(xs, ts) + self.modal.grid(xs, ts)
+
+    def row_blocks(self, xs, ts):
+        """Yield (start, block), block being rows start to start + 63 of
+        on_grid(xs, ts) in ModalSeries.row_blocks' blocks; for real xs and ts
+        they equal on_grid's rows bit for bit."""
+        ts = grid_axis(ts)
+        for s, block in self.modal.row_blocks(xs, ts):
+            yield s, self.poly_part.grid(xs, ts[s : s + len(block)]) + block
 
 
 def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> SemiAnalyticSolution:

@@ -184,6 +184,7 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
 
 
 _TRIG = {"cos": np.cos, "sin": np.sin}
+_ROW_BLOCK = 64  # time rows per block of ModalSeries.row_blocks
 
 
 @dataclass(frozen=True)
@@ -228,22 +229,29 @@ class ModalSeries:
         return self.eigen.trig
 
     def grid(self, xs, ts) -> np.ndarray:
-        """Full-sum evaluation on a tensor grid, shape (len(ts), len(xs)).
-
-        All stored terms are summed (no tolerance truncation). Work proceeds
-        in fixed 64-row blocks of ts, which bounds the (rows, n_terms) decay
-        block at the largest grids the config accepts. Complex xs or ts give
-        a complex result.
+        """Full-sum evaluation on a tensor grid, shape (len(ts), len(xs)),
+        filled block by block from row_blocks, so its rows are bit for bit
+        the blocks' rows. All stored terms are summed (no tolerance
+        truncation). Complex xs or ts give a complex result.
         """
         xs = grid_axis(xs)
         ts = grid_axis(ts)
-        tmat = _TRIG[self.trig](np.outer(self._roots, xs))  # (n, nx)
-        block = 64
         out = np.empty((ts.size, xs.size), dtype=np.result_type(xs, ts))
-        for s in range(0, ts.size, block):
-            decayed = _damped_amplitudes(self, ts[s : s + block])  # (rows, n)
-            out[s : s + block] = decayed @ tmat + self.offset
+        for s, block in self.row_blocks(xs, ts):
+            out[s : s + len(block)] = block
         return out
+
+    def row_blocks(self, xs, ts):
+        """Yield (start, block), block being rows start to start + 63 of
+        grid(xs, ts) (fewer in the last block), in order. Beyond the
+        (n_terms, len(xs)) trig matrix, built once, a block holds
+        64 * (len(xs) + n_terms) values, so memory does not grow with len(ts)."""
+        xs = grid_axis(xs)
+        ts = grid_axis(ts)
+        tmat = _TRIG[self.trig](np.outer(self._roots, xs))  # (n, nx)
+        for s in range(0, ts.size, _ROW_BLOCK):
+            decayed = _damped_amplitudes(self, ts[s : s + _ROW_BLOCK])  # (rows, n)
+            yield s, decayed @ tmat + self.offset
 
 
 def _damped_amplitudes(series: ModalSeries, ts: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared test plumbing: acceptance-criteria recording and the summary hook."""
 
 import time
+import tracemalloc
 
 _SUITE_START = time.perf_counter()
 _criteria: list[tuple[int, bool, str]] = []
@@ -11,6 +12,15 @@ def record_criterion(number: int, ok: bool, detail: str) -> None:
     line = f"criterion {number}: {'PASS' if ok else 'FAIL'} ({detail})"
     _criteria.append((number, ok, line))
     print(line)
+
+
+def traced(fn):
+    """(fn(), the peak bytes that tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

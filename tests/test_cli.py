@@ -4,12 +4,12 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import traced
 from heatrobin import cli
 from heatrobin.spectral import eigenvalues
 
@@ -21,6 +21,18 @@ EX2 = {
     "T0": [5, 1, 1, 1],
     "grid": {"M": 40, "K": 40},
 }
+DR = {
+    "k": 0.25, "nu": 0.5, "l": 1.0, "T": 1.0, "boundary": "dr",
+    "mu0": [0, 1, 0, 2], "F": [[0, 0], [1, -2], [0, 0], [1, 0]], "T0": [4, 1, -1],
+}
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _raw(name):
+    """The raw config of a shipped example, or DR for "dirichlet_robin"."""
+    if name == "dirichlet_robin":
+        return DR
+    return json.loads((ROOT / "configs" / f"{name}.json").read_text())
 
 
 def _run(*args):
@@ -78,15 +90,7 @@ def test_report_rebuild_regenerates_identical_csv(tmp_path):
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "dirichlet_robin"])
 def test_report_rebuilds_an_equal_solution(tmp_path, name):
-    root = Path(__file__).resolve().parents[1]
-    if name == "dirichlet_robin":
-        raw = {
-            "k": 0.25, "nu": 0.5, "l": 1.0, "T": 1.0, "boundary": "dr",
-            "mu0": [0, 1, 0, 2], "F": [[0, 0], [1, -2], [0, 0], [1, 0]], "T0": [4, 1, -1],
-        }
-    else:
-        raw = json.loads((root / "configs" / f"{name}.json").read_text())
-    cfg = cli.parse_config(raw)
+    cfg = cli.parse_config(_raw(name))
     sol = cli.solve_problem(cfg.problem, n_max=cfg.n_max)
     report = cli._report_dict(cfg, sol, cli.residual_report(sol, t_min=cfg.t_min))
     assert cli.rebuild_solution(json.loads(json.dumps(report))) == sol
@@ -124,13 +128,32 @@ def test_write_csv_streams_rows(tmp_path):
     xs = np.linspace(0.0, 1.0, 401)
     ts = np.linspace(0.0, 1.0, 401)
     grid = np.random.default_rng(6).standard_normal((ts.size, xs.size))
-    tracemalloc.start()
-    try:
-        cli._write_csv(tmp_path / "solution.csv", xs, ts, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(lambda: cli._write_csv(tmp_path / "solution.csv", xs, ts, grid))
     assert peak < 2_000_000, peak
+
+
+@pytest.mark.parametrize("name", ["dirichlet_robin", "ex3"])
+def test_solve_streams_the_bytes_of_the_whole_grid(tmp_path, name):
+    # K = 130 streams row blocks of 64, 64 and 3
+    cfg_path = _write_config(tmp_path, {**_raw(name), "grid": {"M": 50, "K": 130}})
+    assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    cfg = cli.load_config(cfg_path)
+    sol = cli.solve_problem(cfg.problem, n_max=cfg.n_max)
+    xs, ts = cli._solution_grids(cfg)
+    assert [s for s, _ in sol.row_blocks(xs, ts)] == [0, 64, 128]
+    cli._write_csv(tmp_path / "whole.csv", xs, ts, sol.on_grid(xs, ts))
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "solution.csv").read_bytes()
+
+
+def test_solve_memory_does_not_grow_with_k(tmp_path):
+    # holding the polynomial, modal and summed grids would add 1.8 MB here
+    peaks = {}
+    for K in (100, 900):
+        cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 100, "K": K}}, f"k{K}.json")
+        out = str(tmp_path / f"k{K}")
+        _, peaks[K] = traced(lambda: cli.cmd_solve(cfg, out))
+    grid_bytes = 901 * 101 * 8
+    assert peaks[900] - peaks[100] < grid_bytes / 4, peaks
 
 
 def test_solve_is_deterministic_across_runs(tmp_path):

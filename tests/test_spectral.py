@@ -305,6 +305,9 @@ def test_grid_result_is_deterministic():
     base = ser.grid(xs, ts)
     assert base.shape == (201, 41)
     assert np.array_equal(base, ser.grid(xs, ts))
+    blocks = list(ser.row_blocks(xs, ts))
+    assert [s for s, _ in blocks] == [0, 64, 128, 192]
+    assert np.vstack([b for _, b in blocks]).tobytes() == base.tobytes()
 
 
 def test_fourier_coeffs_match_quadrature():

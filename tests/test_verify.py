@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import traced
 from heatrobin import verify
 from heatrobin.polyalg import Poly1, Poly2
 from heatrobin.solver import ProblemSpec, solve_problem
@@ -136,6 +137,54 @@ def test_reference_second_order_on_smooth_data():
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
         assert 1.8 < o < 2.2, orders
+
+
+def _ex3_problem():
+    return ProblemSpec(
+        k=0.25, nu=0.5, l=1.0, T=1.0, boundary="neumann_robin",
+        mu0=Poly1((1.0, 0.0, 3.0, 1.0), "x"),
+        F=Poly2(((0.0, 0.0), (0.0, 0.0), (2.0, 5.0))),
+        T0=Poly1((1.0, 3.0), "t"),
+    )
+
+
+def test_graded_oracle_factors_each_step_size_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _tridiagonal_solver(*args)
+
+    monkeypatch.setattr(verify, "_tridiagonal_solver", counted)
+    K = 40
+    crank_nicolson_reference(_ex3_problem(), 10, K)
+    ts = np.linspace(0.0, 1.0, K + 1)
+    sizes = {(tau, theta) for iv in _substeps(ts, 1.0 / K, graded=True) for *_, tau, theta in iv}
+    assert len(calls) == len(sizes) > 50
+
+
+@pytest.mark.parametrize("problem", [_ex3_problem, _dr_problem])
+def test_blocked_oracle_diff_is_the_whole_grid_maximum(problem):
+    # t_min = 0.17 keeps oracle rows 34 to 200, so the series' blocks (64, 64
+    # and 39 rows) start in the middle of the oracle's 64-row blocks
+    sol = solve_problem(problem())
+    oracle = crank_nicolson_reference(problem(), 30, 200)
+    mask = oracle.ts >= 0.17 - 1e-12
+    whole = np.max(np.abs(sol.on_grid(oracle.xs, oracle.ts[mask]) - oracle.values[mask]))
+    assert residual_report(sol, t_min=0.17, oracle=oracle).oracle_max_diff == float(whole)
+
+
+def test_oracle_and_its_comparison_hold_one_grid():
+    # at M = 100 and K = 900 a grid is 0.73 MB; keeping every factorization
+    # and comparing whole grids took 2.1 grids and 1.8 MB more than at K = 100
+    sol = solve_problem(_ex3_problem())
+    grid_bytes = 901 * 101 * 8
+    oracle, cn_peak = traced(lambda: crank_nicolson_reference(_ex3_problem(), 100, 900))
+    assert cn_peak < 1.25 * grid_bytes, cn_peak / grid_bytes
+    coarse = crank_nicolson_reference(_ex3_problem(), 100, 100)
+    _, coarse_peak = traced(lambda: residual_report(sol, oracle=coarse))
+    _, fine_peak = traced(lambda: residual_report(sol, oracle=oracle))
+    assert fine_peak - coarse_peak < grid_bytes / 4, (coarse_peak, fine_peak)
 
 
 def test_report_on_polynomial_case():
