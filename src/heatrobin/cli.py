@@ -338,9 +338,7 @@ def cmd_eigen(kind: str, k: float, nu: float, l: float, n: int) -> int:
         "index  sigma                  bracket_lo             bracket_hi             residual   "
         "gap_to_pi_multiple     rel_residual"
     )
-    for i in range(eig.n_terms):
-        sigma, res = eig.roots[i], eig.residuals[i]
-        lo, hi = eig.brackets[i]
+    for i, (sigma, res, (lo, hi)) in enumerate(zip(eig.roots, eig.residuals, eig.brackets)):
         nearest = round(sigma * l / math.pi)
         gap = abs(sigma - nearest * math.pi / l)
         rel = res / max(nu, k * sigma)

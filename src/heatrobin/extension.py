@@ -34,8 +34,6 @@ __all__ = [
     "SingularSystemError",
     "ExtensionProfile",
     "CoefficientSystem",
-    "evolve_even_poly",
-    "evolve_odd_poly",
     "evolve_profile",
     "duhamel_poly",
     "robin_trace",
@@ -69,16 +67,12 @@ class ExtensionProfile:
 
     For parity 'even' the data is mu(x) = sum_i coeffs[i] * x**(2i); for
     parity 'odd' it is sum_i coeffs[i] * x**(2i+1). `d` is the constant term
-    of the boundary target the profile was matched against. `c_t` is 0.0
-    for every solve (the matching consumes the whole target) and `warnings`
-    is empty; both are kept as report.json keys.
+    of the boundary target the profile was matched against.
     """
 
     parity: str
     coeffs: tuple[float, ...]
     d: float
-    c_t: float = 0.0
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         _parity_offset(self.parity)
@@ -141,21 +135,13 @@ def _evolve_table(a, k: float, offset: int) -> Poly2:
     return Poly2(tuple(map(tuple, table)))
 
 
-def evolve_even_poly(a, k: float) -> Poly2:
-    """Heat evolution u(x,t) of the even data mu(x) = sum_i a[i] * x**(2i).
-
-    The result satisfies u_t = k*u_xx exactly at the coefficient level,
-    u(x,0) = mu(x), and du/dx(0,t) = 0 identically (only even x powers occur).
-    """
-    return _evolve_table(a, k, 0)
-
-
-def evolve_odd_poly(a, k: float) -> Poly2:
-    """Heat evolution of the odd data sum_i a[i] * x**(2i+1); vanishes at x=0."""
-    return _evolve_table(a, k, 1)
-
-
 def evolve_profile(profile: ExtensionProfile, k: float) -> Poly2:
+    """Heat evolution u(x,t) of the profile's data mu(x).
+
+    The result satisfies u_t = k*u_xx exactly at the coefficient level and
+    u(x,0) = mu(x). Only even x powers occur for parity 'even', so
+    du/dx(0,t) = 0 identically; only odd ones for 'odd', so u(0,t) = 0.
+    """
     return _evolve_table(profile.coeffs, k, _parity_offset(profile.parity))
 
 
@@ -209,7 +195,7 @@ def duhamel_poly(F: Poly2, k: float, parity: str) -> Poly2:
 
 def robin_trace(P: Poly2, k: float, nu: float, l: float) -> Poly1:
     """The Robin boundary combination P(l,t) + (k/nu) * dP/dx(l,t) as a
-    polynomial in t. For P = evolve_even_poly(a) its constant term is
+    polynomial in t. For P = evolve_profile(profile) its constant term is
     mu(l) + (k/nu) * mu'(l)."""
     if k <= 0 or nu <= 0 or l <= 0:
         raise ValueError("k, nu, l must be positive")

@@ -15,9 +15,11 @@ coefficient nu:
 All three expand into one ModalSeries, evaluated by one damped-amplitude
 helper; the insulated rod adds the memory of a static source.
 
-Roots are found in the offset theta = sigma*l - base from the bracket's
-lower edge, base = m*pi (neumann_robin) or (m - 1/2)*pi (dirichlet_robin),
-where both conditions, cleared of their tangent and cotangent, read
+Each kind's bracket geometry is one half-period shift: bracket m starts at
+sigma*l = (m - shift)*pi, with shift = 1/2 for dirichlet_robin and 0
+otherwise. Roots are found in the offset theta = sigma*l - base from that
+lower edge, base = (m - shift)*pi, where both Robin conditions, cleared of
+their tangent and cotangent, read
 
     k*(base + theta)/l * sin(theta) - nu*cos(theta) = 0,   0 < theta < pi/2.
 
@@ -49,15 +51,20 @@ __all__ = [
 KINDS = ("neumann_robin", "dirichlet_robin", "neumann_neumann")
 
 
+def _shift(kind: str) -> float:
+    """The kind's bracket geometry: bracket m starts at sigma*l = (m - shift)*pi,
+    with shift = 1/2 under the value left end of dirichlet_robin, else 0."""
+    return 0.5 if kind == "dirichlet_robin" else 0.0
+
+
 @dataclass(frozen=True)
 class EigenSystem:
-    """Increasing eigenvalue roots with their brackets and residuals.
+    """Increasing eigenvalue roots with their residuals.
 
     `indices[n]` is the bracket index m of root n (0-based for neumann_robin
     and neumann_neumann, 1-based for dirichlet_robin); `offsets[n]` is the
-    distance of sigma*l above the bracket's lower edge, in (0, pi/2):
-    sigma*l = m*pi + offset (neumann_robin; offset 0 for neumann_neumann) or
-    (m - 1/2)*pi + offset (dirichlet_robin).
+    distance theta of sigma*l above the bracket's lower edge
+    (m - shift)*pi, in (0, pi/2) (0 for neumann_neumann).
     `residuals[n]` is the absolute residual of the pole-free form
     k*sigma*sin(offset) - nu*cos(offset) of both Robin kinds (0 for
     neumann_neumann); its scale is max(nu, k*sigma).
@@ -71,48 +78,53 @@ class EigenSystem:
     offsets: tuple[float, ...]
     roots: tuple[float, ...]
     residuals: tuple[float, ...]
-    brackets: tuple[tuple[float, float], ...]
 
     @property
     def n_terms(self) -> int:
         return len(self.roots)
 
     @property
+    def shift(self) -> float:
+        return _shift(self.kind)
+
+    @property
     def trig(self) -> str:
-        """The eigenfunction family: sin(sigma x) for dirichlet_robin,
-        cos(sigma x) for the flux-left kinds."""
-        return "sin" if self.kind == "dirichlet_robin" else "cos"
+        """The eigenfunction family: sin(sigma x) under the value left end
+        (shift 1/2), cos(sigma x) under a flux left end."""
+        return "sin" if self.shift else "cos"
 
-    def sin_at_l(self) -> np.ndarray:
-        """sin(sigma_n * l) computed stably from the stored offsets."""
+    @property
+    def brackets(self) -> tuple[tuple[float, float], ...]:
+        """(lo, hi) around each root: sigma*l from (m - shift)*pi to a quarter
+        period above it; the neumann_neumann brackets collapse onto their
+        exact roots."""
         m = np.asarray(self.indices)
-        th = np.asarray(self.offsets)
-        sign = np.where(m % 2 == 0, 1.0, -1.0)
-        if self.kind != "dirichlet_robin":
-            return sign * np.sin(th)
-        return -sign * np.cos(th)
+        width = 0.0 if self.kind == "neumann_neumann" else 0.5
+        lo = (m - self.shift) * math.pi / self.l
+        hi = (m - self.shift + width) * math.pi / self.l
+        return tuple(zip(lo.tolist(), hi.tolist()))
 
-    def cos_at_l(self) -> np.ndarray:
-        """cos(sigma_n * l) computed stably from the stored offsets."""
-        m = np.asarray(self.indices)
+    def at_l(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sin(sigma_n l), cos(sigma_n l)) computed stably from the stored
+        offsets: sigma*l is theta turned through q = 2*(m - shift) quarter
+        turns, and each quarter turn maps (sin, cos) to (cos, -sin)."""
+        q = (2 * (np.asarray(self.indices) - self.shift)).astype(int) % 4
         th = np.asarray(self.offsets)
-        sign = np.where(m % 2 == 0, 1.0, -1.0)
-        if self.kind != "dirichlet_robin":
-            return sign * np.cos(th)
-        return sign * np.sin(th)
+        s, c = np.sin(th), np.cos(th)
+        sign = np.where(q < 2, 1.0, -1.0)
+        odd = q % 2 == 1
+        return sign * np.where(odd, c, s), sign * np.where(odd, -s, c)
 
     def norms(self) -> np.ndarray:
         """L2 norms squared of the trigonometric family over [0, l]:
-        (nu*l + k*sin^2(sigma*l)) / (2*nu) for neumann_robin (cosines),
-        (nu*l + k*cos^2(sigma*l)) / (2*nu) for dirichlet_robin (sines),
-        l for sigma = 0 and l/2 otherwise for neumann_neumann (cosines)."""
+        (nu*l + k*sin^2(theta)) / (2*nu) for both Robin kinds, where
+        sin^2(theta) is sin^2(sigma*l) for neumann_robin (cosines) and
+        cos^2(sigma*l) for dirichlet_robin (sines); l for sigma = 0 and l/2
+        otherwise for neumann_neumann (cosines)."""
         if self.kind == "neumann_neumann":
             return np.where(np.asarray(self.roots) == 0.0, self.l, 0.5 * self.l)
-        if self.kind == "neumann_robin":
-            trig_l = self.sin_at_l()
-        else:
-            trig_l = self.cos_at_l()
-        return (self.nu * self.l + self.k * trig_l**2) / (2.0 * self.nu)
+        sin_th = np.sin(np.asarray(self.offsets))
+        return (self.nu * self.l + self.k * sin_th**2) / (2.0 * self.nu)
 
 
 def _offsets(base: np.ndarray, k: float, nu: float, l: float):
@@ -161,15 +173,14 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
         raise ValueError("k, nu, l must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    first, shift = (1, 0.5) if kind == "dirichlet_robin" else (0, 0.0)
+    shift = _shift(kind)
+    first = math.ceil(shift)  # the first lower edge at or above sigma = 0
     m = np.arange(first, first + n_max)
     base = (m - shift) * math.pi
     if kind == "neumann_neumann":
         offsets = residuals = np.zeros(n_max)
-        width = 0.0
     else:
         offsets, residuals = _offsets(base, k, nu, l)
-        width = 0.5
     return EigenSystem(
         kind,
         float(k),
@@ -179,7 +190,6 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
         tuple(offsets.tolist()),
         tuple(((base + offsets) / l).tolist()),
         tuple(residuals.tolist()),
-        tuple(zip((base / l).tolist(), ((m - shift + width) * math.pi / l).tolist())),
     )
 
 
@@ -268,7 +278,8 @@ def _damped_amplitudes(series: ModalSeries, ts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """Evaluation result with the truncation side channel."""
+    """Evaluation result with the truncation side channel; terms_used is
+    always the number of stored terms."""
 
     value: float
     terms_used: int
@@ -278,9 +289,9 @@ class SeriesValue:
 
 def _beyond_stored_bound(series: ModalSeries, t: float) -> float:
     """Geometric bound on the tail past the stored terms, using the bracket
-    lower edges sigma_n >= (first + n) * pi / l (shifted by -1/2 for the
-    dirichlet_robin indexing) and the largest stored amplitude as envelope.
-    A non-zero source does not decay, so its tail is never bounded."""
+    lower edges sigma_n >= (m_n - shift) * pi / l and the largest stored
+    amplitude as envelope. A non-zero source does not decay, so its tail is
+    never bounded."""
     eig = series.eigen
     if any(series.source):
         return math.inf
@@ -289,7 +300,7 @@ def _beyond_stored_bound(series: ModalSeries, t: float) -> float:
         return 0.0 if env == 0.0 else math.inf
     step = math.pi / eig.l
     nxt = eig.indices[-1] + 1
-    lo = (nxt - 0.5 if eig.kind == "dirichlet_robin" else nxt) * step
+    lo = (nxt - eig.shift) * step
     kt = eig.k * t
     first = math.exp(-lo * lo * kt)
     ratio = math.exp(-(2.0 * lo + step) * step * kt)
@@ -301,29 +312,25 @@ def _beyond_stored_bound(series: ModalSeries, t: float) -> float:
 def evaluate_series_info(
     series: ModalSeries, x: float, t: float, tol: float = 1e-10
 ) -> SeriesValue:
-    """Evaluate with tolerance-driven truncation and report the side channel.
+    """Evaluate at a point and report the truncation side channel.
 
-    The partial sum stops once the remaining stored terms plus the
-    beyond-stored geometric bound fall below tol. Times t <= 0 evaluate the
-    initial line t = 0, where the damping is gone: the tail bound is
-    infinite, so all stored terms are summed and nothing is certified,
-    unless the series is identically zero.
+    Every stored term is summed, as in ModalSeries.grid; the tail bound is
+    the geometric bound on the terms past the stored ones, and it is
+    verified when it falls below tol. Times t <= 0 evaluate the initial line
+    t = 0, where the damping is gone: the tail bound is infinite and nothing
+    is certified, unless the series is identically zero.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     t = max(t, 0.0)
     terms = _damped_amplitudes(series, np.array([t]))[0]
-    # cutoffs[i] = the bound beyond the stored terms + sum of |terms[i:]|
-    weights = np.concatenate(([_beyond_stored_bound(series, t)], np.abs(terms[::-1])))
-    cutoffs = np.cumsum(weights)[::-1]
-    below = np.flatnonzero(cutoffs < tol)
-    use = int(below[0]) if below.size else series.n_terms
-    total = series.offset + float(terms[:use] @ _TRIG[series.trig](series._roots[:use] * x))
-    return SeriesValue(total, use, float(cutoffs[use]), bool(cutoffs[use] < tol))
+    total = series.offset + float(terms @ _TRIG[series.trig](series._roots * x))
+    bound = _beyond_stored_bound(series, t)
+    return SeriesValue(total, series.n_terms, bound, bound < tol)
 
 
 def evaluate_series(series: ModalSeries, x: float, t: float, tol: float = 1e-10) -> float:
-    """Truncated series value at a point; see evaluate_series_info for the
+    """Series value at a point; see evaluate_series_info for the
     truncation/verification side channel."""
     return evaluate_series_info(series, x, t, tol).value
 
@@ -343,8 +350,7 @@ def fourier_coeffs(eigen: EigenSystem, residual_initial: Poly1) -> np.ndarray:
     """
     if residual_initial.coeffs and residual_initial.variable != "x":
         raise ValueError("residual_initial must be a polynomial in x")
-    sin_l = eigen.sin_at_l()
-    cos_l = eigen.cos_at_l()
+    sin_l, cos_l = eigen.at_l()
     norms = eigen.norms()
     out = np.zeros(eigen.n_terms)
     coeffs = residual_initial.coeffs

@@ -137,10 +137,11 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
     k, nu, l, T = problem.k, problem.nu, problem.l, problem.T
     h = l / M
     dt = T / K
-    beta = h * nu / k
     xs = np.linspace(0.0, l, M + 1)
     ts = np.linspace(0.0, T, K + 1)
     left = problem.boundary  # "neumann_robin" | "dirichlet_robin" | "neumann_neumann"
+    # the insulated right end of neumann_neumann is the Robin row with beta = 0
+    beta = 0.0 if left == "neumann_neumann" else h * nu / k
     solvers = {}
 
     def implicit_solver(lam: float, theta: float):
@@ -154,8 +155,7 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
         else:
             upper[0] = -2.0 * a  # ghost u_{-1} = u_1
         lower[M] = -2.0 * a
-        if left != "neumann_neumann":
-            diag[M] = 1.0 + 2.0 * a + 2.0 * a * beta
+        diag[M] = 1.0 + 2.0 * a + 2.0 * a * beta
         return _tridiagonal_solver(lower, diag, upper)
 
     def step(u, t0, t1, tau, theta):
@@ -173,16 +173,13 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
             rhs[0] = 0.0
         else:
             rhs[0] = (1.0 - b2) * u[0] + b2 * u[1] + tau * f[0]
-        if left == "neumann_neumann":
-            rhs[M] = (1.0 - b2) * u[M] + b2 * u[M - 1] + tau * f[M]
-        else:
-            level = theta * problem.T0(t1) + (1.0 - theta) * problem.T0(t0)
-            rhs[M] = (
-                (1.0 - b2 - b2 * beta) * u[M]
-                + b2 * u[M - 1]
-                + 2.0 * lam * beta * level
-                + tau * f[M]
-            )
+        level = theta * problem.T0(t1) + (1.0 - theta) * problem.T0(t0)
+        rhs[M] = (
+            (1.0 - b2 - b2 * beta) * u[M]
+            + b2 * u[M - 1]
+            + 2.0 * lam * beta * level
+            + tau * f[M]
+        )
         return np.array(solvers[key](rhs.tolist()))
 
     values = np.empty((K + 1, M + 1))

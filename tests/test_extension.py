@@ -11,8 +11,6 @@ from heatrobin.extension import (
     SingularSystemError,
     build_coefficient_system,
     duhamel_poly,
-    evolve_even_poly,
-    evolve_odd_poly,
     evolve_profile,
     flux_sign_variant_matrix,
     match_boundary_polynomial,
@@ -22,14 +20,18 @@ from heatrobin.extension import (
 from heatrobin.polyalg import Poly1, Poly2
 
 
+def _evolve(parity, a, k):
+    return evolve_profile(ExtensionProfile(parity, a, 0.0), k)
+
+
 def test_evolve_even_low_degree_closed_forms():
     k = 0.25
-    assert evolve_even_poly((3.0,), k).coeffs == ((3.0,),)
+    assert _evolve("even", (3.0,), k).coeffs == ((3.0,),)
     # x^2 evolves to x^2 + 2kt
-    got = evolve_even_poly((0.0, 1.0), k)
+    got = _evolve("even", (0.0, 1.0), k)
     assert np.array_equal(got.array, [[0.0, 2.0 * k], [0.0, 0.0], [1.0, 0.0]])
     # x^4 evolves to x^4 + 12kt x^2 + 12 k^2 t^2
-    got = evolve_even_poly((0.0, 0.0, 1.0), k)
+    got = _evolve("even", (0.0, 0.0, 1.0), k)
     assert got(0.0, 1.0) == pytest.approx(12.0 * k * k, abs=1e-15)
     assert got(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
     assert got(2.0, 0.5) == pytest.approx(16.0 + 12.0 * k * 0.5 * 4.0 + 12.0 * k * k * 0.25, abs=1e-12)
@@ -38,9 +40,9 @@ def test_evolve_even_low_degree_closed_forms():
 def test_evolve_odd_low_degree_closed_forms():
     k = 0.5
     # x stays x
-    assert evolve_odd_poly((1.0,), k).coeffs == ((0.0,), (1.0,))
+    assert _evolve("odd", (1.0,), k).coeffs == ((0.0,), (1.0,))
     # x^3 evolves to x^3 + 6kt x
-    got = evolve_odd_poly((0.0, 1.0), k)
+    got = _evolve("odd", (0.0, 1.0), k)
     assert np.array_equal(got.array, [[0.0, 0.0], [0.0, 6.0 * k], [0.0, 0.0], [1.0, 0.0]])
 
 
@@ -49,10 +51,10 @@ def test_evolve_solves_heat_equation_coefficient_exactly():
     for _ in range(30):
         k = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
         a = tuple(float(v) for v in rng.integers(-4, 5, rng.integers(1, 6)))
-        for evolve in (evolve_even_poly, evolve_odd_poly):
-            u = evolve(a, k)
+        for parity in ("even", "odd"):
+            u = _evolve(parity, a, k)
             resid = u.dt() - k * u.dx().dx()
-            assert resid.is_zero(), (a, k, evolve.__name__, resid.coeffs)
+            assert resid.is_zero(), (a, k, parity, resid.coeffs)
 
 
 def test_evolve_initial_and_left_conditions():
@@ -60,29 +62,19 @@ def test_evolve_initial_and_left_conditions():
     for _ in range(10):
         k = float(rng.uniform(0.1, 2.0))
         a = tuple(float(v) for v in rng.uniform(-2, 2, 4))
-        even = evolve_even_poly(a, k)
+        even = _evolve("even", a, k)
         assert np.allclose(even.at_t(0.0).coeffs, ExtensionProfile("even", a, 0.0).mu_poly().coeffs)
         assert even.dx().at_x(0.0).is_zero()
-        odd = evolve_odd_poly(a, k)
+        odd = _evolve("odd", a, k)
         assert np.allclose(odd.at_t(0.0).coeffs, ExtensionProfile("odd", a, 0.0).mu_poly().coeffs)
         assert odd.at_x(0.0).is_zero()
 
 
-def test_evolve_profile_dispatches_on_parity():
-    k = 0.3
-    p_even = ExtensionProfile("even", (1.0, 2.0), 0.0)
-    assert evolve_profile(p_even, k).coeffs == evolve_even_poly((1.0, 2.0), k).coeffs
-    p_odd = ExtensionProfile("odd", (1.0, 2.0), 0.0)
-    assert evolve_profile(p_odd, k).coeffs == evolve_odd_poly((1.0, 2.0), k).coeffs
-    with pytest.raises(ValueError, match="parity"):
-        ExtensionProfile("both", (1.0,), 0.0)
-
-
 def test_evolve_rejects_nonpositive_diffusivity():
     with pytest.raises(ValueError, match="positive"):
-        evolve_even_poly((1.0,), 0.0)
+        _evolve("even", (1.0,), 0.0)
     with pytest.raises(ValueError, match="positive"):
-        evolve_odd_poly((1.0,), -1.0)
+        _evolve("odd", (1.0,), -1.0)
 
 
 def test_duhamel_exact_for_representable_weights():
@@ -241,7 +233,6 @@ def test_match_round_trip_reproduces_target():
         system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
         prof = match_boundary_polynomial(target, system)
         assert prof.parity == parity
-        assert prof.warnings == ()
         assert prof.d == pytest.approx(target(0.0), abs=1e-14)
         back = robin_trace(evolve_profile(prof, k), k, nu, l)
         n = max(target.degree, back.degree) + 1
@@ -274,6 +265,8 @@ def test_match_validates_target_variable_and_parity():
         )
     with pytest.raises(ValueError, match="parity"):
         build_coefficient_system(0, 1.0, 1.0, 1.0, "mixed")
+    with pytest.raises(ValueError, match="parity"):
+        ExtensionProfile("both", (1.0,), 0.0)
     # zero target matches the zero profile
     prof = match_boundary_polynomial(
         Poly1((), "t"), build_coefficient_system(0, 0.25, 0.5, 1.0, "even")

@@ -93,7 +93,6 @@ def test_source_only_case_has_zero_profile():
     sol = solve_problem(_nr_problem(**EX1))
     assert sol.profile.mu_poly().is_zero()
     assert sol.profile.d == 0.0
-    assert sol.profile.c_t == 0.0
     arr = sol.poly_part.array
     want = np.zeros_like(arr)
     want[0, :3] = (0.0, 1.0, 1.0)
@@ -107,7 +106,6 @@ def test_constant_offset_vanishes_when_matching_is_complete():
         F = (tuple(rng.uniform(-2, 2, 2)),)
         T0 = tuple(rng.uniform(-2, 2, 3))
         sol = solve_problem(_nr_problem(mu0, F, T0))
-        assert sol.profile.c_t == 0.0
         assert sol.modal.offset == 0.0
 
 
@@ -178,7 +176,6 @@ def test_value_left_pipeline_profile_pinned():
         atol=1e-14,
     )
     assert sol.profile.d == 1.625
-    assert sol.profile.c_t == 0.0
     assert sol.profile.parity == "odd"
 
 

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from heatrobin.polyalg import Poly1, trig_poly_integral
 from heatrobin.spectral import (
+    KINDS,
     EigenSystem,
     ModalSeries,
     _beyond_stored_bound,
@@ -151,8 +152,9 @@ def test_boundary_trig_tables_match_direct_evaluation():
         eig = eigenvalues(kind, 1.0, 1.0, 1.0, 10)
         s_direct = np.sin(np.asarray(eig.roots) * eig.l)
         c_direct = np.cos(np.asarray(eig.roots) * eig.l)
-        assert np.max(np.abs(eig.sin_at_l() - s_direct)) < 1e-12
-        assert np.max(np.abs(eig.cos_at_l() - c_direct)) < 1e-12
+        sin_l, cos_l = eig.at_l()
+        assert np.max(np.abs(sin_l - s_direct)) < 1e-12
+        assert np.max(np.abs(cos_l - c_direct)) < 1e-12
 
 
 def test_norms_match_quadrature():
@@ -171,8 +173,7 @@ def test_norms_match_quadrature():
 def _pair_integral(eig: EigenSystem, n: int, m: int) -> float:
     # closed-form integral of the n-th times m-th eigenfunction over [0, l],
     # using the stable boundary trig and angle sum identities
-    s = eig.sin_at_l()
-    c = eig.cos_at_l()
+    s, c = eig.at_l()
     sn, sm = eig.roots[n], eig.roots[m]
     sin_diff = s[n] * c[m] - c[n] * s[m]
     sin_sum = s[n] * c[m] + c[n] * s[m]
@@ -235,11 +236,10 @@ def test_series_truncation_respects_tolerance():
     ser = ModalSeries(eig, amps, offset=0.1)
     full = ser.grid([0.3], [0.5])[0, 0]
     info = evaluate_series_info(ser, 0.3, 0.5, tol=1e-10)
-    assert info.terms_used < 40
     assert info.tail_verified
     assert info.tail_bound < 1e-10
     assert abs(info.value - full) < 1e-10
-    # scalar reference for the vectorised partial sum; the summation order
+    # scalar reference for the vectorised sum; the summation order
     # differs, so agreement is to a few dozen ulps of the sum's magnitude
     for t in (0.5, 0.01, 1e-3, 0.0):
         part = evaluate_series_info(ser, 0.3, t)
@@ -251,6 +251,19 @@ def test_series_truncation_respects_tolerance():
     assert evaluate_series(ser, 0.3, 0.5) == info.value
     with pytest.raises(ValueError, match="tol"):
         evaluate_series_info(ser, 0.3, 0.5, tol=0.0)
+    # a loose tol cuts no stored term: the point is the grid's value, and
+    # the tail bound is the bound past the stored terms alone
+    tol = 1e-2
+    for kind in KINDS:
+        eig = eigenvalues(kind, 1.0, 1.0, 1.0, 40)
+        ser = ModalSeries(eig, tuple(0.5**n for n in range(40)), offset=0.1)
+        for x, t in ((0.3, 0.5), (0.7, 1e-3), (0.3, 1e-4)):
+            info = evaluate_series_info(ser, x, t, tol)
+            assert abs(info.value - ser.grid([x], [t])[0, 0]) < 1e-14, (kind, t)
+            assert info.terms_used == 40
+            assert info.tail_bound == _beyond_stored_bound(ser, t)
+            assert info.tail_verified == (info.tail_bound < tol)
+        assert not evaluate_series_info(ser, 0.3, 1e-4, tol).tail_verified
 
 
 def test_series_at_start_line_sums_everything():
@@ -280,7 +293,6 @@ def test_beyond_stored_bound_dominates_actual_tail():
         big.offsets[:40],
         big.roots[:40],
         big.residuals[:40],
-        big.brackets[:40],
     )
     amps = tuple(1.0 / (n + 1) for n in range(40))
     ser = ModalSeries(small, amps)
@@ -403,7 +415,7 @@ def test_source_memory_is_never_certified():
 def _scalar_fourier_coeffs(eigen, r):
     # the per-(mode, degree) scalar loop the array pass replaced, kept as
     # its reference
-    sin_l, cos_l, norms = eigen.sin_at_l(), eigen.cos_at_l(), eigen.norms()
+    (sin_l, cos_l), norms = eigen.at_l(), eigen.norms()
     out = np.zeros(eigen.n_terms)
     for n, sigma in enumerate(eigen.roots):
         if sigma == 0.0:
@@ -451,14 +463,11 @@ def _tuple_reference(series, x, t, tol):
         return out
 
     t = max(t, 0.0)
-    terms = weights(np.array([t]))[0]
-    cut = np.cumsum(np.concatenate(([_beyond_stored_bound(series, t)], np.abs(terms[::-1]))))[::-1]
-    below = np.flatnonzero(cut < tol)
-    use = int(below[0]) if below.size else series.n_terms
-    value = series.offset + float(terms[:use] @ trig(sig[:use] * x))
+    value = series.offset + float(weights(np.array([t]))[0] @ trig(sig * x))
+    bound = _beyond_stored_bound(series, t)
     xs, ts = np.linspace(0.0, series.eigen.l, 7), np.linspace(0.0, 0.3, 5)
     grid = weights(ts) @ trig(np.outer(sig, xs)) + series.offset
-    return (value, use, float(cut[use]), bool(cut[use] < tol)), grid
+    return (value, series.n_terms, bound, bound < tol), grid
 
 
 def test_modal_series_arrays_are_built_once_and_read_only():
