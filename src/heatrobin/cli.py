@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -232,8 +232,13 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _from_section(cls, section: dict):
-    return cls(**{name: _tuples(v) for name, v in section.items()})
+def _from_section(cls, name: str, section: dict):
+    """cls built from report section `name`; a key that cls does not take, or
+    a field of cls that the section lacks, raises ValueError naming both."""
+    for key in sorted(set(section) ^ {f.name for f in fields(cls)}):
+        kind = "unknown" if key in section else "missing"
+        raise ValueError(f"report section {name!r} has {kind} key {key!r}")
+    return cls(**{key: _tuples(v) for key, v in section.items()})
 
 
 def rebuild_solution(report: dict) -> SemiAnalyticSolution:
@@ -241,13 +246,12 @@ def rebuild_solution(report: dict) -> SemiAnalyticSolution:
     the matching pipeline. Evaluating it reproduces the original CSV
     byte-for-byte (pure float data in, deterministic evaluation out)."""
     m = report["modal"]
-    modal = ModalSeries(
-        _from_section(EigenSystem, report["eigen"]), _tuples(m["amplitudes"]), m["offset"]
-    )
+    eigen = _from_section(EigenSystem, "eigen", report["eigen"])
+    modal = ModalSeries(eigen, _tuples(m["amplitudes"]), m["offset"])
     return SemiAnalyticSolution(
         poly_part=Poly2(_tuples(report["poly_part"])),
         modal=modal,
-        profile=_from_section(ExtensionProfile, report["profile"]),
+        profile=_from_section(ExtensionProfile, "profile", report["profile"]),
         problem=parse_config(report["config"]).problem,
         diagnostics=_tuples(report["diagnostics"]),
     )

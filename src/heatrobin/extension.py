@@ -66,13 +66,11 @@ class ExtensionProfile:
     """Polynomial initial data for the whole-line extension.
 
     For parity 'even' the data is mu(x) = sum_i coeffs[i] * x**(2i); for
-    parity 'odd' it is sum_i coeffs[i] * x**(2i+1). `d` is the constant term
-    of the boundary target the profile was matched against.
+    parity 'odd' it is sum_i coeffs[i] * x**(2i+1).
     """
 
     parity: str
     coeffs: tuple[float, ...]
-    d: float
 
     def __post_init__(self):
         _parity_offset(self.parity)
@@ -313,6 +311,4 @@ def match_boundary_polynomial(target: Poly1, system: CoefficientSystem) -> Exten
             f"{float(mat[j, j])!r}, at most 1e-12 times its column scale "
             f"{float(colscale[j])!r}"
         )
-    coeffs = _solve_upper(mat, rhs)
-    d = float(target(0.0)) if target.coeffs else 0.0
-    return ExtensionProfile(system.parity, tuple(coeffs), d)
+    return ExtensionProfile(system.parity, tuple(_solve_upper(mat, rhs)))

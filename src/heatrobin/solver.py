@@ -12,9 +12,9 @@ the solver builds the solution as poly_part + modal correction:
 2. target(t) = T0(t) - robin_trace(u_p): boundary data left for the
    homogeneous part.
 3. Profile coefficients are matched so the evolved profile's trace equals
-   target exactly, through one triangular system; d = target(0). The
-   matching consumes the whole target, so the correction problem's Robin
-   condition is already homogeneous and needs no constant shift.
+   target exactly, through one triangular system. The matching consumes
+   the whole target, so the correction problem's Robin condition is
+   already homogeneous and needs no constant shift.
 4. The remaining initial mismatch mu0 - mu is expanded in the Robin
    eigenbasis and decays as exp(-sigma_n^2 k t).
 5. The same system is compared entry by entry with the subtracted-flux

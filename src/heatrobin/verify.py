@@ -193,15 +193,14 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
     return GridSolution(xs, ts, values)
 
 
-# Complex steps of the residual probe: h in t, g = _X_STEP * l along
-# w = exp(i pi/4) in x (see residual_report).
-_T_STEP = 1e-30
+# Complex steps of the residual probe: h for every first derivative (u_t, and
+# u_x at the ends), g = _X_STEP * l along w = exp(i pi/4) for u_xx (see
+# residual_report).
+_H = 1e-30
 _X_STEP = 1e-3
 _X_DIRECTION = complex(math.sqrt(0.5), math.sqrt(0.5))
-# Points per axis of the probe grid, and the real step of the boundary
-# conditions' central differences.
+# Points per axis of the probe grid.
 _PROBE_POINTS = 41
-_BC_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -227,43 +226,39 @@ def residual_report(
     the initial mismatch, and an optional comparison against a reference
     grid.
 
-    The interior equation is probed with complex steps (Squire & Trapp,
-    SIAM Rev. 40, 1998), evaluating the solution off the real axis:
+    Every derivative is taken by complex step (Squire & Trapp, SIAM Rev.
+    40, 1998), evaluating the solution off the real axis:
 
         u_t  = Im u(x, t + i h) / h,                    h = 1e-30
+        u_x  = Im u(x + i h, t) / h,                    x = 0 and x = l only
         u_xx = Im[u(x + g w, t) + u(x - g w, t)] / g^2,  w = exp(i pi/4), g = 1e-3 l
 
-    The t step subtracts nothing, so h can be small enough that its
-    truncation error h^2 u_ttt / 6 vanishes. The x stencil's truncation
-    error is g^4 u_xxxxxx / 360 and its rounding error about
-    eps |u_x| / g. A real central difference would lose step^2 u_ttt / 6,
-    which near an incompatible corner dwarfs the residual itself. The
-    boundary conditions use real central differences of step 1e-4. The
-    t >= t_min window keeps the probe away from the start line, where
-    incompatible corner data makes derivatives blow up; the oracle
-    comparison uses the same window.
+    A first-derivative step subtracts nothing, so h can be small enough
+    that its truncation error h^2 u_ttt / 6 vanishes: u_t and the boundary
+    rows are exact to rounding. The x stencil's truncation error is
+    g^4 u_xxxxxx / 360 and its rounding error about eps |u_x| / g. A real
+    central difference would lose step^2 u_ttt / 6, which near an
+    incompatible corner dwarfs the residual itself. The boundary rows read
+    u and u_x on the two end columns only. The t >= t_min window keeps the
+    probe away from the start line, where incompatible corner data makes
+    derivatives blow up; the oracle comparison uses the same window.
     """
     problem = sol.problem
     k, nu, l, T = problem.k, problem.nu, problem.l, problem.T
     xs = np.linspace(0.0, l, _PROBE_POINTS)
     ts = np.linspace(t_min, T, _PROBE_POINTS)
 
-    u0 = sol.on_grid(xs, ts)
-    uxp = sol.on_grid(xs + _BC_STEP, ts)
-    uxm = sol.on_grid(xs - _BC_STEP, ts)
-
-    u_t = sol.on_grid(xs, ts + 1j * _T_STEP).imag / _T_STEP
+    u_t = sol.on_grid(xs, ts + 1j * _H).imag / _H
     g = _X_STEP * l
     shift = g * _X_DIRECTION
     u_xx = (sol.on_grid(xs + shift, ts) + sol.on_grid(xs - shift, ts)).imag / (g * g)
     pde = np.max(np.abs(u_t - k * u_xx - problem.F.grid(xs, ts)))
 
-    if problem.boundary == "dirichlet_robin":
-        left = np.max(np.abs(u0[:, 0]))
-    else:
-        left = np.max(np.abs((uxp[:, 0] - uxm[:, 0]) / (2.0 * _BC_STEP)))
-    u_x_right = (uxp[:, -1] - uxm[:, -1]) / (2.0 * _BC_STEP)
-    right = np.max(np.abs(k * u_x_right + nu * (u0[:, -1] - problem.T0(ts))))
+    ends = np.array([0.0, l])
+    u = sol.on_grid(ends, ts)
+    u_x = sol.on_grid(ends + 1j * _H, ts).imag / _H
+    left = np.max(np.abs(u[:, 0] if problem.boundary == "dirichlet_robin" else u_x[:, 0]))
+    right = np.max(np.abs(k * u_x[:, 1] + nu * (u[:, 1] - problem.T0(ts))))
 
     # Parseval: the modal amplitudes are exact projections of the initial
     # mismatch, so the truncation error is ||r||^2 minus the captured energy.

@@ -198,7 +198,7 @@ def test_criterion_7_two_solution_forms_agree():
 def test_criterion_8_property_suites():
     rng = np.random.default_rng(88)
     # heat-evolution identity, exact for dyadic diffusivity and integer data
-    evolved = evolve_profile(ExtensionProfile("even", (3.0, -2.0, 1.0), 0.0), 0.25)
+    evolved = evolve_profile(ExtensionProfile("even", (3.0, -2.0, 1.0)), 0.25)
     resid = evolved.dt() - 0.25 * evolved.dx().dx()
     evolve_exact = resid.is_zero()
     forced = duhamel_poly(Poly2(((0.0, 2.0), (0.0, 0.0), (1.0, 0.0))), 0.25, "even")
@@ -268,7 +268,7 @@ def _trace_vs_kernel_quadrature():
         (0.7, 1.2, 0.8, 0.5),
         (1.0, 0.3, 1.4, 1.0),
     ]:
-        evolved = evolve_profile(ExtensionProfile("even", (0.5, -1.0, 0.75), 0.0), k)
+        evolved = evolve_profile(ExtensionProfile("even", (0.5, -1.0, 0.75)), k)
         poly_trace = robin_trace(evolved, k, nu, l)(t)
         args = l - math.sqrt(4.0 * k * t) * zs
         u = float(np.sum(wts * np.polynomial.polynomial.polyval(args, even)))

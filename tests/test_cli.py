@@ -96,6 +96,22 @@ def test_report_rebuilds_an_equal_solution(tmp_path, name):
     assert cli.rebuild_solution(json.loads(json.dumps(report))) == sol
 
 
+@pytest.mark.parametrize(
+    "section, key, kind", [("profile", "d", "unknown"), ("eigen", "roots", "missing")]
+)
+def test_rebuild_names_a_bad_report_key(section, key, kind):
+    # reports written before ExtensionProfile.d was dropped hold profile.d
+    cfg = cli.parse_config(_raw("ex1"))
+    sol = cli.solve_problem(cfg.problem, n_max=cfg.n_max)
+    report = json.loads(json.dumps(cli._report_dict(cfg, sol, cli.residual_report(sol))))
+    if kind == "unknown":
+        report[section][key] = 0.0
+    else:
+        del report[section][key]
+    with pytest.raises(ValueError, match=f"report section '{section}' has {kind} key '{key}'"):
+        cli.rebuild_solution(report)
+
+
 def _f_string_writer(path, xs, ts, grid):
     # the per-point f-string writer the streaming _write_csv replaced
     lines = ["x,t,u"]

@@ -21,7 +21,7 @@ from heatrobin.polyalg import Poly1, Poly2
 
 
 def _evolve(parity, a, k):
-    return evolve_profile(ExtensionProfile(parity, a, 0.0), k)
+    return evolve_profile(ExtensionProfile(parity, a), k)
 
 
 def test_evolve_even_low_degree_closed_forms():
@@ -63,10 +63,10 @@ def test_evolve_initial_and_left_conditions():
         k = float(rng.uniform(0.1, 2.0))
         a = tuple(float(v) for v in rng.uniform(-2, 2, 4))
         even = _evolve("even", a, k)
-        assert np.allclose(even.at_t(0.0).coeffs, ExtensionProfile("even", a, 0.0).mu_poly().coeffs)
+        assert np.allclose(even.at_t(0.0).coeffs, ExtensionProfile("even", a).mu_poly().coeffs)
         assert even.dx().at_x(0.0).is_zero()
         odd = _evolve("odd", a, k)
-        assert np.allclose(odd.at_t(0.0).coeffs, ExtensionProfile("odd", a, 0.0).mu_poly().coeffs)
+        assert np.allclose(odd.at_t(0.0).coeffs, ExtensionProfile("odd", a).mu_poly().coeffs)
         assert odd.at_x(0.0).is_zero()
 
 
@@ -163,7 +163,7 @@ def test_robin_trace_matches_direct_combination():
 
 
 def test_trace_constant_of_evolved_profile():
-    prof = ExtensionProfile("even", (1.0, -0.5, 0.25), 0.0)
+    prof = ExtensionProfile("even", (1.0, -0.5, 0.25))
     k, nu, l = 0.25, 0.5, 1.0
     tr = robin_trace(evolve_profile(prof, k), k, nu, l)
     mu = prof.mu_poly()
@@ -233,7 +233,6 @@ def test_match_round_trip_reproduces_target():
         system = build_coefficient_system(max(target.degree, 0), k, nu, l, parity)
         prof = match_boundary_polynomial(target, system)
         assert prof.parity == parity
-        assert prof.d == pytest.approx(target(0.0), abs=1e-14)
         back = robin_trace(evolve_profile(prof, k), k, nu, l)
         n = max(target.degree, back.degree) + 1
         diff = max(abs(back.coeff(j) - target.coeff(j)) for j in range(n))
@@ -266,13 +265,12 @@ def test_match_validates_target_variable_and_parity():
     with pytest.raises(ValueError, match="parity"):
         build_coefficient_system(0, 1.0, 1.0, 1.0, "mixed")
     with pytest.raises(ValueError, match="parity"):
-        ExtensionProfile("both", (1.0,), 0.0)
+        ExtensionProfile("both", (1.0,))
     # zero target matches the zero profile
     prof = match_boundary_polynomial(
         Poly1((), "t"), build_coefficient_system(0, 0.25, 0.5, 1.0, "even")
     )
     assert prof.mu_poly().is_zero()
-    assert prof.d == 0.0
 
 
 def test_match_rejects_a_system_of_the_wrong_order():
@@ -318,7 +316,7 @@ def test_evolved_trace_matches_kernel_convolution():
         l = float(rng.uniform(0.5, 1.5))
         t = float(rng.uniform(0.1, 1.0))
         parity = "even" if rng.integers(0, 2) == 0 else "odd"
-        prof = ExtensionProfile(parity, tuple(rng.uniform(-2, 2, 3)), 0.0)
+        prof = ExtensionProfile(parity, tuple(rng.uniform(-2, 2, 3)))
         closed = robin_trace(evolve_profile(prof, k), k, nu, l)(t)
         quad = _kernel_convolution_trace(prof, k, nu, l, t)
         assert abs(closed - quad) < 1e-8, (parity, k, nu, l, t, closed, quad)

@@ -92,7 +92,6 @@ def test_source_only_case_has_zero_profile():
     # the whole boundary target, leaving a zero matching profile
     sol = solve_problem(_nr_problem(**EX1))
     assert sol.profile.mu_poly().is_zero()
-    assert sol.profile.d == 0.0
     arr = sol.poly_part.array
     want = np.zeros_like(arr)
     want[0, :3] = (0.0, 1.0, 1.0)
@@ -175,7 +174,6 @@ def test_value_left_pipeline_profile_pinned():
         rtol=0.0,
         atol=1e-14,
     )
-    assert sol.profile.d == 1.625
     assert sol.profile.parity == "odd"
 
 
