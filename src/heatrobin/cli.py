@@ -18,7 +18,9 @@ ascending-power order:
     }
 
 Numbers in the CSV/JSON outputs use the shortest round-trip representation,
-so identical runs produce byte-identical files.
+so identical runs produce byte-identical files. `solve` formats the CSV with
+up to one forked process per usable CPU, at most one per 64-row block of
+time rows (see _write_solution_csv); the bytes do not depend on how many.
 """
 
 from __future__ import annotations
@@ -27,16 +29,18 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .extension import ExtensionProfile, ParityError, SingularSystemError
 from .polyalg import Poly1, Poly2
 from .solver import ProblemSpec, SemiAnalyticSolution, solve_problem
-from .spectral import EigenSystem, ModalSeries, eigenvalues
+from .spectral import _ROW_BLOCK, EigenSystem, ModalSeries, eigenvalues
 from .verify import crank_nicolson_reference, residual_report, threshold_rows
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "rebuild_solution", "main"]
@@ -178,21 +182,116 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _write_csv(path: Path, xs: np.ndarray, ts: np.ndarray, rows) -> None:
-    """Stream the x,t,u rows, time-major, one grid row at a time; `rows` is
-    any iterable of 1-D rows, one per t (a 2-D array is one).
+def _write_rows(fh, x_strs: list[str], ts, rows) -> None:
+    """Write the x,t,u lines of each t in ts with its row of u from `rows`,
+    one grid row at a time. Values go through `tolist()` so that `repr` sees
+    Python floats (shortest round-trip digits), not numpy scalars."""
+    for t, row in zip(np.asarray(ts, dtype=float).tolist(), rows):
+        mid = f",{t!r},"
+        values = np.asarray(row, dtype=float).tolist()
+        fh.write("".join([f"{x}{mid}{u}\n" for x, u in zip(x_strs, map(repr, values))]))
 
-    Each coordinate is formatted once. Values go through `tolist()` so that
-    `repr` sees Python floats (shortest round-trip digits), not numpy scalars.
-    `Path.open("w")` uses the same encoding and newline handling as
-    `Path.write_text`."""
+
+def _write_csv(path: Path, xs: np.ndarray, ts: np.ndarray, rows) -> None:
+    """Stream the header and the x,t,u rows, time-major, one grid row at a
+    time; `rows` is any iterable of 1-D rows, one per t (a 2-D array is one).
+
+    Each coordinate is formatted once. `Path.open("w")` uses the same
+    encoding and newline handling as `Path.write_text`."""
     x_strs = [repr(x) for x in np.asarray(xs, dtype=float).tolist()]
     with path.open("w") as fh:
         fh.write("x,t,u\n")
-        for t, row in zip(np.asarray(ts, dtype=float).tolist(), rows):
-            mid = f",{t!r},"
-            values = np.asarray(row, dtype=float).tolist()
-            fh.write("".join([f"{x}{mid}{u}\n" for x, u in zip(x_strs, map(repr, values))]))
+        _write_rows(fh, x_strs, ts, rows)
+
+
+def _solution_rows(sol: SemiAnalyticSolution, xs, ts):
+    """The rows of sol.on_grid(xs, ts), one at a time, from its row blocks."""
+    return itertools.chain.from_iterable(block for _, block in sol.row_blocks(xs, ts))
+
+
+def _row_parts(n_rows: int) -> list[tuple[int, int]]:
+    """The [lo, hi) time-row ranges of the CSV writers: one per usable CPU,
+    at most one per row block, each starting on a block boundary. One part
+    where os.fork or os.sched_getaffinity is missing."""
+    blocks = -(-n_rows // _ROW_BLOCK)
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = min(len(os.sched_getaffinity(0)), blocks)
+    edges = [_ROW_BLOCK * (i * blocks // n) for i in range(n)] + [n_rows]
+    return list(zip(edges, edges[1:]))
+
+
+def _write_part(fd: int, x_strs: list[str], sol: SemiAnalyticSolution, xs, ts) -> None:
+    """Body of a forked writer: format the rows of sol on xs x ts into the
+    file fd and leave through os._exit, so that no atexit handler runs and no
+    inherited buffer is flushed. Exit status 1, after printing the traceback,
+    if anything raises."""
+    code = 1
+    try:
+        with open(fd, "w", closefd=False) as fh:
+            _write_rows(fh, x_strs, ts, _solution_rows(sol, xs, ts))
+        code = 0
+    except BaseException:  # reported here: the finally ends the process
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def _append_file(out_fd: int, in_fd: int) -> None:
+    """Append the whole of file in_fd at out_fd's position by a kernel copy."""
+    size, done = os.fstat(in_fd).st_size, 0
+    while done < size:
+        sent = os.sendfile(out_fd, in_fd, done, size - done)
+        if not sent:
+            raise OSError(f"file shrank while it was copied ({done} of {size} bytes)")
+        done += sent
+
+
+def _write_solution_csv(path: Path, sol: SemiAnalyticSolution, xs, ts) -> None:
+    """Write the CSV of sol on xs x ts to path, byte for byte the file that
+    _write_csv(path, xs, ts, sol.on_grid(xs, ts)) writes.
+
+    The time rows are split by _row_parts. Before path is opened, the parent
+    forks one child per part after the first. Each child formats its rows,
+    sol.row_blocks(xs, ts[lo:hi]) with lo on a block boundary (so the very
+    blocks of the whole grid), into an unnamed temporary file in path's
+    directory. The parent writes the header and the first part, then reaps
+    the children in row order, checks each exit status and appends its file
+    by os.sendfile. Whatever goes wrong, every child is killed and reaped.
+    With one part nothing is forked and the parent writes every row."""
+    import signal
+    import tempfile
+
+    parts = _row_parts(len(ts))
+    x_strs = [repr(x) for x in np.asarray(xs, dtype=float).tolist()]
+    files, pids = [], []
+    try:
+        for lo, hi in parts[1:]:
+            files.append(tempfile.TemporaryFile(dir=path.parent))
+            pid = os.fork()
+            if pid == 0:
+                _write_part(files[-1].fileno(), x_strs, sol, xs, ts[lo:hi])  # never returns
+            pids.append(pid)
+        first = ts[: parts[0][1]]
+        _write_csv(path, xs, first, _solution_rows(sol, xs, first))
+        with path.open("r+b") as out:
+            out.seek(0, os.SEEK_END)
+            for (lo, hi), part in zip(parts[1:], files):
+                status = os.waitpid(pids[0], 0)[1]
+                pids.pop(0)
+                code = os.waitstatus_to_exitcode(status)
+                if code:
+                    how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    raise RuntimeError(f"the CSV writer of time rows {lo}-{hi - 1} failed: {how}")
+                _append_file(out.fileno(), part.fileno())
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in files:
+            part.close()
 
 
 def _report_dict(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> dict:
@@ -272,10 +371,31 @@ def _load_and_solve(config: str):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return cfg, solve_problem(cfg.problem, n_max=cfg.n_max, tol=cfg.tol)
+        # an overflow inside the solve shows as a non-finite quantity below
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_problem(cfg.problem, n_max=cfg.n_max, tol=cfg.tol)
+            sizes = {
+                "compatibility_defect": sol.problem.compatibility_defect(),
+                "the solution's size bound": _size_bound(sol),
+            }
     except (ParityError, SingularSystemError, OverflowError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    for name, value in sizes.items():
+        if not math.isfinite(value):
+            message = f"{name} is non-finite ({value}): the data overflow a float"
+            print(f"solver error: {message}", file=sys.stderr)
+            return 3
+    return cfg, sol
+
+
+def _size_bound(sol: SemiAnalyticSolution) -> float:
+    """An upper bound of |u| on [0, l] x [0, T]: sum |a_n| over the modes plus
+    the polynomial part's sum |c_ij| l^i T^j (Horner on nonnegative terms, so
+    no partial sum overflows before the total does)."""
+    p = sol.problem
+    poly = npoly.polyval2d(p.l, p.T, np.abs(sol.poly_part.array))
+    return float(np.sum(np.abs(sol.modal.amplitudes)) + poly)
 
 
 def cmd_solve(config: str, out: str) -> int:
@@ -289,8 +409,7 @@ def cmd_solve(config: str, out: str) -> int:
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     xs, ts = _solution_grids(cfg)
-    rows = itertools.chain.from_iterable(block for _, block in sol.row_blocks(xs, ts))
-    _write_csv(outdir / "solution.csv", xs, ts, rows)
+    _write_solution_csv(outdir / "solution.csv", sol, xs, ts)
     (outdir / "report.json").write_text(report)
     print(f"wrote {outdir / 'solution.csv'} and {outdir / 'report.json'}")
     return 0

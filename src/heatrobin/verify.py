@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .solver import ProblemSpec, SemiAnalyticSolution, solve_neumann_neumann
 
@@ -142,6 +143,8 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
     left = problem.boundary  # "neumann_robin" | "dirichlet_robin" | "neumann_neumann"
     # the insulated right end of neumann_neumann is the Robin row with beta = 0
     beta = 0.0 if left == "neumann_neumann" else h * nu / k
+    # the x stage of F.grid's two-stage Horner, once; each step runs the t stage
+    source_x = npoly.polyval(xs, problem.F.array)
     solvers = {}
 
     def implicit_solver(lam: float, theta: float):
@@ -166,7 +169,7 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
             solvers[key] = implicit_solver(lam, theta)
         b = (1.0 - theta) * lam  # explicit weight; 0.5 lam for Crank-Nicolson
         b2 = 2.0 * b
-        f = problem.F.grid(xs, np.array([t0 + theta * tau]))[0]
+        f = npoly.polyval(t0 + theta * tau, source_x)
         rhs = (1.0 - b2) * u + tau * f
         rhs[1:M] += b * (u[:M - 1] + u[2:])
         if left == "dirichlet_robin":

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,88 @@ def test_solve_streams_the_bytes_of_the_whole_grid(tmp_path, name):
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "solution.csv").read_bytes()
 
 
+class _AwkwardSolution:
+    """Stands in for a solution in _write_solution_csv: its rows are those of
+    `grid` on `ts`, served in 64-row blocks of whichever ts slice is asked."""
+
+    def __init__(self, ts, grid):
+        self.ts, self.grid = ts, grid
+
+    def row_blocks(self, xs, ts):
+        first = int(np.searchsorted(self.ts, ts[0]))
+        for s in range(0, len(ts), 64):
+            yield s, self.grid[first + s : first + min(s + 64, len(ts))]
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+# K + 1 = 64, 65, 130 and 201 rows: one to four blocks, the last one short
+ROW_COUNTS = (64, 65, 130, 201)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_split_writer_repeats_the_serial_bytes(tmp_path, monkeypatch, cpus):
+    xs = np.linspace(0.0, 1.3, 23)
+    for n_rows in ROW_COUNTS:
+        ts = np.linspace(0.0, 2.7, n_rows)
+        smooth = np.random.default_rng(n_rows).standard_normal((n_rows, xs.size))
+        smooth[::3] = np.resize(np.array(AWKWARD), smooth[::3].shape)
+        cli._write_csv(tmp_path / "serial.csv", xs, ts, smooth)
+        _usable_cpus(monkeypatch, cpus)
+        parts = cli._row_parts(n_rows)
+        assert len(parts) == min(cpus, -(-n_rows // 64))
+        assert all(lo % 64 == 0 for lo, _ in parts)
+        cli._write_solution_csv(tmp_path / "split.csv", _AwkwardSolution(ts, smooth), xs, ts)
+        got = (tmp_path / "split.csv").read_bytes()
+        assert got == (tmp_path / "serial.csv").read_bytes(), n_rows
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", ["dirichlet_robin", "ex3"])
+def test_solve_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, name):
+    for n_rows in ROW_COUNTS:
+        cfg_path = _write_config(tmp_path, {**_raw(name), "grid": {"M": 30, "K": n_rows - 1}})
+        cfg = cli.load_config(cfg_path)
+        sol = cli.solve_problem(cfg.problem, n_max=cfg.n_max)
+        xs, ts = cli._solution_grids(cfg)
+        cli._write_csv(tmp_path / "whole.csv", xs, ts, sol.on_grid(xs, ts))
+        for cpus in (1, 2, 3, 5):
+            _usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"{n_rows}_{cpus}"
+            assert cli.cmd_solve(cfg_path, str(out)) == 0
+            csv = (out / "solution.csv").read_bytes()
+            assert csv == (tmp_path / "whole.csv").read_bytes(), (n_rows, cpus)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_writer_fails_the_solve_and_leaves_no_child(tmp_path, monkeypatch, capfd, where):
+    # the parent formats the rows from t = 0; every child starts later
+    real = cli.SemiAnalyticSolution.row_blocks
+
+    def row_blocks(sol, xs, ts):
+        if (ts[0] == 0.0) == (where == "parent"):
+            raise ValueError(f"rows fail in the {where}")
+        return real(sol, xs, ts)
+
+    monkeypatch.setattr(cli.SemiAnalyticSolution, "row_blocks", row_blocks)
+    _usable_cpus(monkeypatch, 3)
+    cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
+    out = tmp_path / "out"
+    expected = RuntimeError if where == "child" else ValueError
+    with pytest.raises(expected, match="CSV writer of time rows" if where == "child" else "parent"):
+        cli.cmd_solve(cfg, str(out))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if where == "child":  # the child printed its traceback and exited
+        assert "ValueError: rows fail in the child" in capfd.readouterr().err
+    # no temporary file; a child's failure leaves the parent's rows, as a
+    # serial write failing there would
+    assert [p.name for p in out.iterdir()] == (["solution.csv"] if where == "child" else [])
+
+
 def test_solve_memory_does_not_grow_with_k(tmp_path):
     # holding the polynomial, modal and summed grids would add 1.8 MB here
     peaks = {}
@@ -237,6 +320,26 @@ def test_odd_source_under_flux_left_boundary_exits_3(tmp_path):
         proc = _run(command, "--config", huge, "--out", str(out))
         assert proc.returncode == 3, (command, proc.stdout, proc.stderr)
         assert "solver error:" in proc.stderr and "non-finite" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, quantity",
+    [
+        ({"mu0": [1e308, 0, 1e308]}, "compatibility_defect"),
+        ({"F": [[1e307, 1e307]]}, "size bound"),
+    ],
+)
+def test_overflow_is_rejected_before_any_grid(tmp_path, change, quantity):
+    # rejected right after the solve: no probe, oracle or CSV runs on inf/NaN
+    cfg = _write_config(tmp_path, {**_raw("ex1"), **change, "grid": {"M": 20, "K": 20}})
+    for command in ("solve", "verify"):
+        out = tmp_path / command
+        proc = _run(command, "--config", cfg, "--out", str(out))
+        assert proc.returncode == 3, (command, proc.stderr)
+        assert "solver error:" in proc.stderr and quantity in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
         assert proc.stdout == ""
         assert not out.exists()
 
