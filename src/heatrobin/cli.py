@@ -18,9 +18,9 @@ ascending-power order:
     }
 
 Numbers in the CSV/JSON outputs use the shortest round-trip representation,
-so identical runs produce byte-identical files. `solve` formats the CSV with
-up to one forked process per usable CPU, at most one per 64-row block of
-time rows (see _write_solution_csv); the bytes do not depend on how many.
+so identical runs at a fixed BLAS thread count produce byte-identical files.
+`solve` formats the CSV in at most one forked process per usable CPU and per
+64-row block of time rows (see _write_solution_csv), with the same bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .extension import ExtensionProfile, ParityError, SingularSystemError
 from .polyalg import Poly1, Poly2
 from .solver import ProblemSpec, SemiAnalyticSolution, solve_problem
 from .spectral import _ROW_BLOCK, EigenSystem, ModalSeries, eigenvalues
-from .verify import crank_nicolson_reference, residual_report, threshold_rows
+from .verify import _initial_energies, crank_nicolson_reference, residual_report, threshold_rows
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "rebuild_solution", "main"]
 
@@ -374,9 +374,12 @@ def _load_and_solve(config: str):
         # an overflow inside the solve shows as a non-finite quantity below
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_problem(cfg.problem, n_max=cfg.n_max, tol=cfg.tol)
+            total, captured = _initial_energies(sol)
             sizes = {
                 "compatibility_defect": sol.problem.compatibility_defect(),
                 "the solution's size bound": _size_bound(sol),
+                "the initial mismatch's squared L2 norm": total,
+                "the modal amplitudes' captured energy": captured,
             }
     except (ParityError, SingularSystemError, OverflowError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

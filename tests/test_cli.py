@@ -329,6 +329,9 @@ def test_odd_source_under_flux_left_boundary_exits_3(tmp_path):
     [
         ({"mu0": [1e308, 0, 1e308]}, "compatibility_defect"),
         ({"F": [[1e307, 1e307]]}, "size bound"),
+        # finite sizes whose squares, in the probe's initial L2 error, overflow
+        ({"mu0": [1e300, 0, 1e300], "T0": [1e300]}, "squared L2 norm"),
+        ({"mu0": [1e200, 0, 1e200], "T0": [1e200]}, "squared L2 norm"),
     ],
 )
 def test_overflow_is_rejected_before_any_grid(tmp_path, change, quantity):
@@ -366,6 +369,46 @@ def test_verify_passes_on_polynomial_case(tmp_path):
     diff = rep["verification"]["oracle_max_diff"]
     assert diff is not None
     assert diff < 1e-3
+
+
+VERIFY_TABLES = {
+    "ex1": """\
+check                      value       bound  status
+pde_residual_max    6.128698e-11     1.0e-05  PASS
+bc_residual_left    0.000000e+00     1.0e-06  PASS
+bc_residual_right   1.804112e-16     1.0e-05  PASS
+oracle_max_diff     3.519785e-05     1.0e-03  PASS
+initial_l2_error       1.035068e-07  (informational)
+compatibility_defect  +0.000000e+00  (informational)
+""",
+    "ex2": """\
+check                      value       bound  status
+pde_residual_max    1.341149e-13     1.0e-05  PASS
+bc_residual_left    0.000000e+00     1.0e-06  PASS
+bc_residual_right   2.220446e-16     1.0e-05  PASS
+oracle_max_diff     6.004675e-06     1.0e-03  PASS
+initial_l2_error       0.000000e+00  (informational)
+compatibility_defect  +0.000000e+00  (informational)
+""",
+    "ex3": """\
+check                      value       bound  status
+pde_residual_max    1.582365e-08     1.0e-05  PASS
+bc_residual_left    0.000000e+00     1.0e-06  PASS
+bc_residual_right   3.774758e-15     1.0e-05  PASS
+oracle_max_diff     3.578864e-04     1.0e-03  PASS
+initial_l2_error       2.778790e-03  (informational)
+compatibility_defect  +4.250000e+00  (informational)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_TABLES))
+def test_verify_table_of_each_example_is_pinned(tmp_path, name):
+    # every printed digit of the shipped examples' tables; the oracle's
+    # rounding-level changes must not reach them
+    proc = _run("verify", "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "".join(proc.stdout.splitlines(keepends=True)[:7]) == VERIFY_TABLES[name]
 
 
 INCOMPATIBLE = {

@@ -78,7 +78,8 @@ def test_thomas_matches_dense_solver():
 
 
 def _numpy_thomas(lower, diag, upper, rhs):
-    # the per-element numpy loop the factored Python-float sweeps replaced
+    # the sequential Thomas sweeps, one element at a time: the reference for
+    # the oracle's doubling scans, which group the same sums differently
     n = diag.size
     cp = np.empty(n)
     dp = np.empty(n)
@@ -95,15 +96,44 @@ def _numpy_thomas(lower, diag, upper, rhs):
     return x
 
 
-def test_thomas_repeats_the_numpy_loop_bit_for_bit():
+def _scan_gap(lower, diag, upper, rhs):
+    # distance from the sequential sweeps, in units of eps * max|x|
+    want = _numpy_thomas(lower, diag, upper, rhs)
+    got = _thomas(lower, diag, upper, rhs)
+    return np.max(np.abs(got - want)) / (np.finfo(float).eps * np.max(np.abs(want)))
+
+
+def _cn_system(n, lam, left, beta=0.5):
+    # the oracle's implicit matrix at theta = 1/2, as in crank_nicolson_reference
+    a = 0.5 * lam
+    lower, diag, upper = np.full(n, -a), np.full(n, 1.0 + 2.0 * a), np.full(n, -a)
+    if left == "dirichlet_robin":
+        diag[0], upper[0] = 1.0, 0.0
+    else:
+        upper[0] = -2.0 * a
+    lower[-1] = -2.0 * a
+    diag[-1] = 1.0 + 2.0 * a + 2.0 * a * beta
+    return lower, diag, upper
+
+
+def test_thomas_scans_agree_with_the_numpy_loop():
     rng = np.random.default_rng(11)
-    for n in (1, 2, 9, 401):
+    for n in (1, 2, 3, 9, 401, 1001):
         lower = rng.uniform(-1, 1, n)
         upper = rng.uniform(-1, 1, n)
         diag = 3.0 + rng.uniform(0, 1, n)
         rhs = rng.uniform(-5, 5, n)
-        got = _thomas(lower, diag, upper, rhs)
-        assert got.tobytes() == _numpy_thomas(lower, diag, upper, rhs).tobytes()
+        assert _scan_gap(lower, diag, upper, rhs) <= 64, n
+
+
+@pytest.mark.parametrize("left", ["neumann_robin", "dirichlet_robin"])
+def test_thomas_scans_agree_on_oracle_systems(left):
+    # lam = k tau / h^2 from a graded start's first substeps to M = 10000
+    rng = np.random.default_rng(12)
+    for n in (9, 1001, 10001):
+        for lam in (1e-4, 1e-2, 1.0, 1e2, 1e4, 3e6):
+            rhs = rng.uniform(-5, 5, n)
+            assert _scan_gap(*_cn_system(n, lam, left), rhs) <= 64, (n, lam)
 
 
 def test_reference_grid_validation():
@@ -131,9 +161,9 @@ def test_reference_second_order_on_smooth_data():
         mask = cn.ts >= 0.01
         exact = _ex2_exact(cn.xs, cn.ts[mask])
         errs.append(float(np.max(np.abs(cn.values[mask] - exact))))
-    assert abs(errs[0] - 2.4018653750346175e-05) < 1e-16
-    assert abs(errs[1] - 6.004674740545113e-06) < 1e-16
-    assert abs(errs[2] - 1.5011691876232192e-06) < 1e-16
+    assert abs(errs[0] - 2.4018653744573015e-05) < 1e-16
+    assert abs(errs[1] - 6.0046747121234034e-06) < 1e-16
+    assert abs(errs[2] - 1.5011690361887986e-06) < 1e-16
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
         assert 1.8 < o < 2.2, orders
@@ -250,6 +280,27 @@ def test_graded_start_schedule():
                 assert nxt[0] == t1
     uniform = list(_substeps(ts, dt, graded=False))
     assert uniform == [[(ts[n], ts[n + 1], dt, 0.5)] for n in range(400)]
+
+
+def _linspace_substeps(ts, dt, graded):
+    # the schedule with every later output interval split by np.linspace,
+    # one-piece intervals included
+    intervals = list(_substeps(ts, dt, graded))
+    for n in range(1 if graded else 0, ts.size - 1):
+        pieces = math.ceil(dt / (0.3 * ts[n])) if graded else 1
+        marks = np.linspace(ts[n], ts[n + 1], pieces + 1)
+        intervals[n] = [(a, b, dt / pieces, 0.5) for a, b in zip(marks[:-1], marks[1:])]
+    return intervals
+
+
+@pytest.mark.parametrize("K", [8, 200, 1000])
+@pytest.mark.parametrize("graded", [False, True])
+def test_one_step_intervals_repeat_the_linspace_schedule(K, graded):
+    ts = np.linspace(0.0, 1.0, K + 1)
+    got = list(_substeps(ts, 1.0 / K, graded))
+    want = _linspace_substeps(ts, 1.0 / K, graded)
+    assert [np.array(iv).tobytes() for iv in got] == [np.array(iv).tobytes() for iv in want]
+    assert sum(len(iv) == 1 for iv in got) >= K - 4
 
 
 def test_report_is_deterministic_across_runs():
