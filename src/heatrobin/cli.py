@@ -459,18 +459,24 @@ def cmd_eigen(kind: str, k: float, nu: float, l: float, n: int) -> int:
     if not (1 <= n <= 1024):
         print(f"parameter error: n must be in [1, 1024], got {n}", file=sys.stderr)
         return 2
-    eig = eigenvalues(mapped, k, nu, l, n)
-    print(
+    # an overflow inside the root search shows as a non-finite value below
+    with np.errstate(over="ignore", invalid="ignore"):
+        eig = eigenvalues(mapped, k, nu, l, n)
+        sigma, res = np.array(eig.roots), np.array(eig.residuals)
+        gap = np.abs(sigma - np.rint(sigma * l / math.pi) * math.pi / l)
+        rel = res / np.maximum(nu, k * sigma)
+    for i in np.flatnonzero(~np.isfinite(sigma + res))[:1]:
+        name, value = ("root", sigma[i]) if not np.isfinite(sigma[i]) else ("residual", res[i])
+        print(f"solver error: {name} {i} is non-finite ({value}): the data overflow a float", file=sys.stderr)
+        return 3
+    header = (
         "index  sigma                  bracket_lo             bracket_hi             residual   "
         "gap_to_pi_multiple     rel_residual"
     )
-    for i, (sigma, res, (lo, hi)) in enumerate(zip(eig.roots, eig.residuals, eig.brackets)):
-        nearest = round(sigma * l / math.pi)
-        gap = abs(sigma - nearest * math.pi / l)
-        rel = res / max(nu, k * sigma)
-        print(
-            f"{i:<5d}  {sigma:<21.15g}  {lo:<21.15g}  {hi:<21.15g}  {res:9.2e}  {gap:<21.15g}  {rel:.2e}"
-        )
+    template = "%-5d  %-21.15g  %-21.15g  %-21.15g  %9.2e  %-21.15g  %.2e\n"
+    rows = zip(range(n), eig.roots, *zip(*eig.brackets), eig.residuals, gap.tolist(), rel.tolist())
+    print(header)
+    sys.stdout.writelines(template % row for row in rows)
     return 0
 
 

@@ -2,10 +2,10 @@
 integrals (Gaussian moments, polynomial-times-trigonometric) that the
 boundary-matching machinery is built on.
 
-Coefficients are double-precision floats. Combinatorial factors (binomials,
-double-factorial ratios) are computed in exact rational arithmetic and
-converted to float at the last possible moment so that small triangular
-systems stay bit-reproducible.
+Coefficients are double-precision floats, and point values are Horner's rule
+on Python floats, bit-identical to numpy.polynomial. Combinatorial factors
+(binomials, double-factorial ratios) are exact rationals, cast to float as
+late as possible so that small triangular systems stay bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,6 +28,16 @@ __all__ = [
 def grid_axis(values) -> np.ndarray:
     """Grid coordinates as a float array, or a complex one if they are complex."""
     return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+
+
+def _horner(coeffs, v):
+    """npoly.polyval(v, coeffs) with the same + and * in the same order, on Python
+    floats for a scalar v; Poly2 nests it in x, then in t, as polyval2d does."""
+    v = np.asarray(v) if isinstance(v, (list, tuple)) else v
+    acc = coeffs[-1] + v * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * v
+    return acc
 
 
 def _trim1(coeffs) -> tuple[float, ...]:
@@ -73,9 +83,7 @@ class Poly1:
         return not self.coeffs
 
     def __call__(self, v):
-        if not self.coeffs:
-            return np.zeros(np.shape(v)) if np.ndim(v) else 0.0
-        return npoly.polyval(v, self.coeffs)
+        return _horner(self.coeffs or (0.0,), v)
 
     def _coerce(self, other) -> "Poly1":
         if isinstance(other, Poly1):
@@ -157,7 +165,7 @@ class Poly2:
         return not self.coeffs
 
     def __call__(self, x, t):
-        return npoly.polyval2d(x, t, self.array)
+        return _horner([_horner(col, x) for col in zip(*(self.coeffs or ((0.0,),)))], t)
 
     def grid(self, xs, ts) -> np.ndarray:
         """Evaluate on the tensor grid, returned with shape (len(ts), len(xs)).

@@ -267,7 +267,7 @@ class ModalSeries:
 def _damped_amplitudes(series: ModalSeries, ts: np.ndarray) -> np.ndarray:
     """The weights w_n(t) of ModalSeries for every t in ts, shape (len(ts), n)."""
     rates = series._rates
-    decay = np.exp(-np.outer(ts, rates))
+    decay = np.exp(-(ts[:, None] * rates))
     out = decay * series._amps
     if series.source:
         with np.errstate(divide="ignore", invalid="ignore"):

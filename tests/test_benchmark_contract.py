@@ -9,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy.polynomial import polynomial as npoly
+
+from heatrobin import cli, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -48,3 +51,20 @@ def test_library_sessions_pass_the_benchmark_checks(perfbench, tmp_path):
     for op in ops:
         _execute_and_check(run, op)
     assert run.points == 2 * len(gen.session_lattice(1.0, 1.0))
+
+
+def test_session_poly_parts_repeat_polyval2d_bit_for_bit(perfbench, tmp_path):
+    # The point lattice of every seed-0 library session: the polynomial
+    # part's Horner values must keep numpy.polynomial's bits.
+    gen, _ = perfbench
+    ops = gen.cycle_ops("library_spectral", 0, ROOT, tmp_path)
+    assert len(ops) == 8
+    for op in ops:
+        cfg = cli.load_config(str(op.config))
+        p = cfg.problem
+        poly = solver.solve_problem(p, n_max=cfg.n_max, tol=cfg.tol).poly_part
+        assert not poly.is_zero()
+        for x, t in gen.session_lattice(p.l, p.T):
+            assert float(poly(x, t)).hex() == float(npoly.polyval2d(x, t, poly.array)).hex()
+            assert float(p.mu0(x)).hex() == float(npoly.polyval(x, p.mu0.coeffs)).hex()
+            assert float(p.T0(t)).hex() == float(npoly.polyval(t, p.T0.coeffs)).hex()

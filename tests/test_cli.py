@@ -518,6 +518,64 @@ def test_eigen_table_matches_library():
     assert max(float(f[6]) for f in rows) <= 4e-16
 
 
+def _f_string_table(kind, k, nu, l, n):
+    """The eigen table by a per-row f-string loop: the reference that
+    cmd_eigen's one %-template and array columns must repeat."""
+    eig = eigenvalues(cli._BOUNDARY_ALIASES[kind], k, nu, l, n)
+    lines = [
+        "index  sigma                  bracket_lo             bracket_hi             residual   "
+        "gap_to_pi_multiple     rel_residual"
+    ]
+    for i, (sigma, res, (lo, hi)) in enumerate(zip(eig.roots, eig.residuals, eig.brackets)):
+        nearest = round(sigma * l / math.pi)
+        gap = abs(sigma - nearest * math.pi / l)
+        rel = res / max(nu, k * sigma)
+        lines.append(
+            f"{i:<5d}  {sigma:<21.15g}  {lo:<21.15g}  {hi:<21.15g}  {res:9.2e}  {gap:<21.15g}  {rel:.2e}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("kind", ["nr", "dr"])
+@pytest.mark.parametrize("k, nu, l", [(0.25, 0.5, 1.0), (3.7, 1e9, 0.3), (0.25, 1e12, 1.0)])
+def test_eigen_table_repeats_the_f_string_loop_byte_for_byte(capsys, kind, k, nu, l):
+    assert cli.cmd_eigen(kind, k, nu, l, 1024) == 0
+    out = capsys.readouterr().out
+    want = _f_string_table(kind, k, nu, l, 1024)
+    # name the first differing row rather than diff two 1025-row strings
+    rows = zip(out.splitlines(keepends=True), want.splitlines(keepends=True))
+    assert next(((a, b) for a, b in rows if a != b), None) is None
+    assert len(out) == len(want) and out.count("\n") == 1025
+
+
+@pytest.mark.parametrize(
+    "kind, k, nu, l, rc, fragment",
+    [
+        # k*sigma/l overflows in the root search: rows of inf residuals
+        ("nr", "1e300", "1", "1e-10", 3, "residual 1 is non-finite"),
+        ("dr", "1e200", "1", "1e-200", 3, "residual 0 is non-finite"),
+        # a huge absolute residual that is rounding-level against max(nu, k*sigma)
+        ("nr", "1e300", "1e300", "1", 0, ""),
+    ],
+)
+def test_eigen_rejects_overflowing_data_without_a_warning(kind, k, nu, l, rc, fragment):
+    argv = ["eigen", "--kind", kind, "--k", k, "--nu", nu, "--l", l, "-n", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "heatrobin.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == rc, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+    if rc:
+        assert proc.stderr.startswith("solver error:") and fragment in proc.stderr
+        assert proc.stdout == ""
+    else:
+        rows = [row.split() for row in proc.stdout.splitlines()[1:]]
+        assert len(rows) == 3
+        assert float(rows[0][4]) > 1e280 and float(rows[0][6]) < 1e-15
+
+
 @pytest.mark.parametrize(
     "args, fragment",
     [

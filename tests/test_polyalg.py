@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from heatrobin.polyalg import (
@@ -103,6 +104,50 @@ def test_poly2_monomial_and_restrictions():
     assert rt.variable == "t"
     assert np.allclose(rt.coeffs, (0.0, 12.0))
     assert float(q(2.0, 0.5)) == pytest.approx(6.0, abs=1e-15)
+
+
+def _bits(value):
+    """float.hex of every entry, with the shape: equal only for equal bits."""
+    return np.shape(value), [float(v).hex() for v in np.ravel(value)]
+
+
+def _sweep_coeffs(rng, n):
+    """n random coefficients over six decades, some of them 0.0 or -0.0."""
+    c = rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-3, 3, n)
+    c[rng.random(n) < 0.2] = 0.0
+    c[rng.random(n) < 0.2] = -0.0
+    return c
+
+
+def _sweep_points(rng):
+    """Python floats (zeros of both signs, negatives), numpy scalars, a list
+    and arrays of one and two dimensions."""
+    xs = rng.uniform(-3, 3, 6)
+    return [0.0, -0.0, *xs.tolist(), np.float64(xs[0]), xs[1:4].tolist(), xs, xs.reshape(2, 3)]
+
+
+def test_poly1_call_repeats_polyval_bit_for_bit():
+    rng = np.random.default_rng(16)
+    polys = [Poly1((-0.0, 0.0, 1.0)), Poly1((1.0, -0.0, -2.0), "t")]
+    polys += [Poly1(tuple(_sweep_coeffs(rng, n))) for n in range(1, 10) for _ in range(4)]
+    for p in polys:
+        for v in _sweep_points(rng):
+            assert _bits(p(v)) == _bits(npoly.polyval(v, p.coeffs or (0.0,))), (p, v)
+
+
+def test_poly2_call_repeats_polyval2d_bit_for_bit():
+    rng = np.random.default_rng(16)
+    polys = [Poly2.zero(), Poly2(((-0.0, 1.0), (0.0, -0.0), (2.0, 0.0)))]
+    polys += [
+        Poly2(tuple(map(tuple, _sweep_coeffs(rng, r * c).reshape(r, c))))
+        for r in range(1, 6)
+        for c in range(1, 6)
+    ]
+    for p in polys:
+        xs, ts = _sweep_points(rng), _sweep_points(rng)
+        # like with like, then the nine scalars against each other reversed
+        for x, t in [*zip(xs, ts), *zip(xs[:9], ts[8::-1])]:
+            assert _bits(p(x, t)) == _bits(npoly.polyval2d(x, t, p.array)), (p, x, t)
 
 
 def test_poly2_grid_matches_pointwise():
