@@ -1,8 +1,9 @@
 """Command-line front end: solve/verify/eigen driven by a JSON problem file.
 
 Exit codes: 0 success, 1 verification threshold failure, 2 config parse or
-validation error, 3 solver error (source parity violation, numerically
-singular matching system, parameters that overflow a float).
+validation error or an unusable output directory, 3 solver error (source
+parity violation, numerically singular matching system, parameters that
+overflow a float).
 
 The config file is plain JSON with polynomial coefficient arrays in
 ascending-power order:
@@ -19,8 +20,9 @@ ascending-power order:
 
 Numbers in the CSV/JSON outputs use the shortest round-trip representation,
 so identical runs at a fixed BLAS thread count produce byte-identical files.
-`solve` formats the CSV in at most one forked process per usable CPU and per
-64-row block of time rows (see _write_solution_csv), with the same bytes.
+`solve` formats the CSV in at most one multiprocessing process per usable CPU
+and per 64-row block of time rows (see _write_solution_csv), with the same
+bytes.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ def parse_config(raw: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -179,6 +181,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"config {path!r} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path!r} nests too deeply to parse") from exc
     return parse_config(raw)
 
 
@@ -222,74 +226,54 @@ def _row_parts(n_rows: int) -> list[tuple[int, int]]:
 
 
 def _write_part(fd: int, x_strs: list[str], sol: SemiAnalyticSolution, xs, ts) -> None:
-    """Body of a forked writer: format the rows of sol on xs x ts into the
-    file fd and leave through os._exit, so that no atexit handler runs and no
-    inherited buffer is flushed. Exit status 1, after printing the traceback,
-    if anything raises."""
-    code = 1
-    try:
-        with open(fd, "w", closefd=False) as fh:
-            _write_rows(fh, x_strs, ts, _solution_rows(sol, xs, ts))
-        code = 0
-    except BaseException:  # reported here: the finally ends the process
-        import traceback
-
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(code)
-
-
-def _append_file(out_fd: int, in_fd: int) -> None:
-    """Append the whole of file in_fd at out_fd's position by a kernel copy."""
-    size, done = os.fstat(in_fd).st_size, 0
-    while done < size:
-        sent = os.sendfile(out_fd, in_fd, done, size - done)
-        if not sent:
-            raise OSError(f"file shrank while it was copied ({done} of {size} bytes)")
-        done += sent
+    """Body of a writer process: format the rows of sol on xs x ts into the
+    file fd. If it raises, the process prints the traceback and exits with
+    status 1."""
+    with open(fd, "w", closefd=False) as fh:
+        _write_rows(fh, x_strs, ts, _solution_rows(sol, xs, ts))
 
 
 def _write_solution_csv(path: Path, sol: SemiAnalyticSolution, xs, ts) -> None:
     """Write the CSV of sol on xs x ts to path, byte for byte the file that
     _write_csv(path, xs, ts, sol.on_grid(xs, ts)) writes.
 
-    The time rows are split by _row_parts. Before path is opened, the parent
-    forks one child per part after the first. Each child formats its rows,
-    sol.row_blocks(xs, ts[lo:hi]) with lo on a block boundary (so the very
-    blocks of the whole grid), into an unnamed temporary file in path's
-    directory. The parent writes the header and the first part, then reaps
-    the children in row order, checks each exit status and appends its file
-    by os.sendfile. Whatever goes wrong, every child is killed and reaped.
-    With one part nothing is forked and the parent writes every row."""
-    import signal
+    The time rows are split by _row_parts. Before path is opened, one forked
+    multiprocessing writer starts per part after the first. Each formats its
+    rows, sol.row_blocks(xs, ts[lo:hi]) with lo on a block boundary (so the
+    very blocks of the whole grid), into an unnamed temporary file in path's
+    directory. The parent writes the header and the first part, then joins
+    the writers in row order, checks each exit code and appends its file.
+    Whatever goes wrong, every writer is killed and joined. With one part
+    no process starts and the parent writes every row."""
+    import multiprocessing
+    import shutil
     import tempfile
 
     parts = _row_parts(len(ts))
     x_strs = [repr(x) for x in np.asarray(xs, dtype=float).tolist()]
-    files, pids = [], []
+    files, writers = [], []
     try:
         for lo, hi in parts[1:]:
             files.append(tempfile.TemporaryFile(dir=path.parent))
-            pid = os.fork()
-            if pid == 0:
-                _write_part(files[-1].fileno(), x_strs, sol, xs, ts[lo:hi])  # never returns
-            pids.append(pid)
+            args = (files[-1].fileno(), x_strs, sol, xs, ts[lo:hi])
+            writer = multiprocessing.get_context("fork").Process(target=_write_part, args=args)
+            writer.start()
+            writers.append(writer)
         first = ts[: parts[0][1]]
         _write_csv(path, xs, first, _solution_rows(sol, xs, first))
-        with path.open("r+b") as out:
-            out.seek(0, os.SEEK_END)
-            for (lo, hi), part in zip(parts[1:], files):
-                status = os.waitpid(pids[0], 0)[1]
-                pids.pop(0)
-                code = os.waitstatus_to_exitcode(status)
+        with path.open("ab") as out:
+            for (lo, hi), part, writer in zip(parts[1:], files, writers):
+                writer.join()
+                code = writer.exitcode
                 if code:
                     how = f"signal {-code}" if code < 0 else f"exit status {code}"
                     raise RuntimeError(f"the CSV writer of time rows {lo}-{hi - 1} failed: {how}")
-                _append_file(out.fileno(), part.fileno())
+                part.seek(0)
+                shutil.copyfileobj(part, out)
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for writer in writers:
+            writer.kill()
+            writer.join()
         for part in files:
             part.close()
 
@@ -362,9 +346,11 @@ def _solution_grids(cfg: RunConfig):
     return xs, ts
 
 
-def _load_and_solve(config: str):
-    """(cfg, sol) for a config file, or, after printing why, the exit code:
-    2 for a config error, 3 for a solver rejection."""
+def _load_and_solve(config: str, out: str):
+    """(cfg, sol, output directory) for a config file, or, after printing
+    why, the exit code: 2 for a config error or an output directory that
+    cannot be made, 3 for a solver rejection. The directory is made only
+    for a solution that passed these checks, before any grid is evaluated."""
     try:
         cfg = load_config(config)
     except ConfigError as exc:
@@ -389,7 +375,12 @@ def _load_and_solve(config: str):
             message = f"{name} is non-finite ({value}): the data overflow a float"
             print(f"solver error: {message}", file=sys.stderr)
             return 3
-    return cfg, sol
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create directory {out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return cfg, sol, Path(out)
 
 
 def _size_bound(sol: SemiAnalyticSolution) -> float:
@@ -402,15 +393,13 @@ def _size_bound(sol: SemiAnalyticSolution) -> float:
 
 
 def cmd_solve(config: str, out: str) -> int:
-    loaded = _load_and_solve(config)
+    loaded = _load_and_solve(config, out)
     if isinstance(loaded, int):
         return loaded
-    cfg, sol = loaded
+    cfg, sol, outdir = loaded
     report = _report_text(cfg, sol, residual_report(sol, t_min=cfg.t_min))
     if report is None:
         return 3
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
     xs, ts = _solution_grids(cfg)
     _write_solution_csv(outdir / "solution.csv", sol, xs, ts)
     (outdir / "report.json").write_text(report)
@@ -419,10 +408,10 @@ def cmd_solve(config: str, out: str) -> int:
 
 
 def cmd_verify(config: str, out: str = ".") -> int:
-    loaded = _load_and_solve(config)
+    loaded = _load_and_solve(config, out)
     if isinstance(loaded, int):
         return loaded
-    cfg, sol = loaded
+    cfg, sol, outdir = loaded
     oracle = crank_nicolson_reference(cfg.problem, cfg.M, cfg.K)
     verification = residual_report(sol, t_min=cfg.t_min, oracle=oracle)
     rows = threshold_rows(verification, cfg.problem.boundary)
@@ -441,8 +430,6 @@ def cmd_verify(config: str, out: str = ".") -> int:
         for line in verification.diagnostics:
             print(f"  - {line}")
 
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "verify_report.json").write_text(report)
     return 0 if all(ok for *_, ok in rows) else 1
 

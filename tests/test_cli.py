@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -244,6 +245,25 @@ def test_a_failing_writer_fails_the_solve_and_leaves_no_child(tmp_path, monkeypa
     assert [p.name for p in out.iterdir()] == (["solution.csv"] if where == "child" else [])
 
 
+def test_a_writer_killed_by_a_signal_fails_the_solve_and_leaves_no_child(tmp_path, monkeypatch):
+    real = cli.SemiAnalyticSolution.row_blocks
+
+    def row_blocks(sol, xs, ts):
+        if ts[0] != 0.0:  # in a writer process
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(sol, xs, ts)
+
+    monkeypatch.setattr(cli.SemiAnalyticSolution, "row_blocks", row_blocks)
+    _usable_cpus(monkeypatch, 3)
+    cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="CSV writer of time rows .* signal 9"):
+        cli.cmd_solve(cfg, str(out))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [p.name for p in out.iterdir()] == ["solution.csv"]
+
+
 def test_solve_memory_does_not_grow_with_k(tmp_path):
     # holding the polynomial, modal and summed grids would add 1.8 MB here
     peaks = {}
@@ -301,6 +321,30 @@ def test_unreadable_and_malformed_configs_exit_2(tmp_path):
     proc = _run("solve", "--config", str(bad), "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "line" in proc.stderr
+
+
+@pytest.mark.parametrize("content", [b'{"k": 0.25\xff}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-100000-deep"])
+def test_undecodable_configs_exit_2(tmp_path, capsys, content):
+    cfg = tmp_path / "odd.json"
+    cfg.write_bytes(content)
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "odd.json" in err, err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_an_unusable_output_directory_exits_2_before_any_grid(
+    tmp_path, monkeypatch, capsys, command, out
+):
+    (tmp_path / "file").write_text("not a directory")
+    monkeypatch.setattr(cli, "residual_report", lambda *a, **k: pytest.fail("probed"))
+    monkeypatch.setattr(cli, "crank_nicolson_reference", lambda *a, **k: pytest.fail("oracle ran"))
+    out = str(tmp_path / out)
+    assert cli.main([command, "--config", _write_config(tmp_path, EX2), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and repr(out) in err, err
 
 
 def test_odd_source_under_flux_left_boundary_exits_3(tmp_path):
