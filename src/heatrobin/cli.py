@@ -1,9 +1,9 @@
 """Command-line front end: solve/verify/eigen driven by a JSON problem file.
 
 Exit codes: 0 success, 1 verification threshold failure, 2 config parse or
-validation error or an unusable output directory, 3 solver error (source
-parity violation, numerically singular matching system, parameters that
-overflow a float).
+validation error, an unusable output directory or an output file that
+cannot be written, 3 solver error (source parity violation, numerically
+singular matching system, parameters that overflow a float).
 
 The config file is plain JSON with polynomial coefficient arrays in
 ascending-power order:
@@ -383,6 +383,17 @@ def _load_and_solve(config: str, out: str):
     return cfg, sol, Path(out)
 
 
+def _write_output(path: Path, write, *args) -> bool:
+    """write(path, *args), or, after printing why, False on an OSError (say,
+    path is a directory); the CSV writers are joined by then."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        print(f"output error: cannot write {str(path)!r}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _size_bound(sol: SemiAnalyticSolution) -> float:
     """An upper bound of |u| on [0, l] x [0, T]: sum |a_n| over the modes plus
     the polynomial part's sum |c_ij| l^i T^j (Horner on nonnegative terms, so
@@ -401,8 +412,9 @@ def cmd_solve(config: str, out: str) -> int:
     if report is None:
         return 3
     xs, ts = _solution_grids(cfg)
-    _write_solution_csv(outdir / "solution.csv", sol, xs, ts)
-    (outdir / "report.json").write_text(report)
+    csv_ok = _write_output(outdir / "solution.csv", _write_solution_csv, sol, xs, ts)
+    if not (csv_ok and _write_output(outdir / "report.json", Path.write_text, report)):
+        return 2
     print(f"wrote {outdir / 'solution.csv'} and {outdir / 'report.json'}")
     return 0
 
@@ -430,7 +442,8 @@ def cmd_verify(config: str, out: str = ".") -> int:
         for line in verification.diagnostics:
             print(f"  - {line}")
 
-    (outdir / "verify_report.json").write_text(report)
+    if not _write_output(outdir / "verify_report.json", Path.write_text, report):
+        return 2
     return 0 if all(ok for *_, ok in rows) else 1
 
 

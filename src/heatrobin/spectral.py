@@ -208,7 +208,9 @@ class ModalSeries:
     the modal amplitudes of a static source; it is empty for the Robin
     correction series. The evaluators use arrays of the roots, rates lam,
     amplitudes and source, and the envelope max|a|, built once per series and
-    read-only; they are not fields, so ==, hash and repr see the tuples only."""
+    read-only; they are not fields, so ==, hash and repr see the tuples only.
+    They sum every stored term but take exp and trig for the live modes only
+    (_live_modes), zero-filling the rest: the sums keep their bits."""
 
     eigen: EigenSystem
     amplitudes: tuple[float, ...]
@@ -255,20 +257,37 @@ class ModalSeries:
         """Yield (start, block), block being rows start to start + 63 of
         grid(xs, ts) (fewer in the last block), in order. Beyond the
         (n_terms, len(xs)) trig matrix, built once, a block holds
-        64 * (len(xs) + n_terms) values, so memory does not grow with len(ts)."""
+        64 * (len(xs) + n_terms) values, so memory does not grow with len(ts).
+        Its rows are zero past the modes live at min(ts), so the product still
+        runs over every stored term and sums the same non-zero products."""
         xs = grid_axis(xs)
         ts = grid_axis(ts)
-        tmat = _TRIG[self.trig](np.outer(self._roots, xs))  # (n, nx)
+        live = _live_modes(self, ts)
+        tmat = np.zeros((self.n_terms, xs.size), dtype=np.result_type(self._roots, xs))
+        tmat[:live] = _TRIG[self.trig](np.outer(self._roots[:live], xs))  # (n, nx)
         for s in range(0, ts.size, _ROW_BLOCK):
-            decayed = _damped_amplitudes(self, ts[s : s + _ROW_BLOCK])  # (rows, n)
+            block = ts[s : s + _ROW_BLOCK]
+            decayed = _damped_amplitudes(self, block, _live_modes(self, block))  # (rows, n)
             yield s, decayed @ tmat + self.offset
 
 
-def _damped_amplitudes(series: ModalSeries, ts: np.ndarray) -> np.ndarray:
-    """The weights w_n(t) of ModalSeries for every t in ts, shape (len(ts), n)."""
-    rates = series._rates
+def _live_modes(series: ModalSeries, ts: np.ndarray) -> int:
+    """The number L of leading modes to evaluate at the times ts: the rates
+    increase, so past L every lam_n t > 745.14, where exp gives exactly 0.0.
+    All modes with a source, for empty ts, or if min Re(ts) is <= 0 or NaN."""
+    t0 = ts.real.min() if ts.size else 0.0
+    if series.source or not t0 > 0.0:
+        return series.n_terms
+    return int(np.searchsorted(series._rates, 746.0 / t0, side="right"))
+
+
+def _damped_amplitudes(series: ModalSeries, ts: np.ndarray, live: int) -> np.ndarray:
+    """The weights w_n(t) of ModalSeries for every t in ts, shape (len(ts), n),
+    with exp taken over the first `live` modes and zeros past them."""
+    rates = series._rates[:live]
     decay = np.exp(-(ts[:, None] * rates))
-    out = decay * series._amps
+    out = np.zeros((ts.size, series.n_terms), dtype=decay.dtype)
+    out[:, :live] = decay * series._amps[:live]
     if series.source:
         with np.errstate(divide="ignore", invalid="ignore"):
             memory = np.where(rates > 0.0, (1.0 - decay) / rates, ts[:, None])
@@ -314,17 +333,23 @@ def evaluate_series_info(
 ) -> SeriesValue:
     """Evaluate at a point and report the truncation side channel.
 
-    Every stored term is summed, as in ModalSeries.grid; the tail bound is
-    the geometric bound on the terms past the stored ones, and it is
-    verified when it falls below tol. Times t <= 0 evaluate the initial line
-    t = 0, where the damping is gone: the tail bound is infinite and nothing
-    is certified, unless the series is identically zero.
+    Every stored term is summed, as in ModalSeries.grid, with exp and trig
+    taken for the live modes only and zeros in place of the others; the
+    tail bound is the geometric bound on the terms past the stored ones,
+    and it is verified when it falls below tol. Times t <= 0 evaluate the
+    initial line t = 0, where the damping is gone: the tail bound is
+    infinite and nothing is certified, unless the series is identically
+    zero.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     t = max(t, 0.0)
-    terms = _damped_amplitudes(series, np.array([t]))[0]
-    total = series.offset + float(terms @ _TRIG[series.trig](series._roots * x))
+    ts = np.array([t])
+    live = _live_modes(series, ts)
+    terms = _damped_amplitudes(series, ts, live)[0]
+    trig = np.zeros(series.n_terms, dtype=np.result_type(series._roots, x))
+    trig[:live] = _TRIG[series.trig](series._roots[:live] * x)
+    total = series.offset + float(terms @ trig)
     bound = _beyond_stored_bound(series, t)
     return SeriesValue(total, series.n_terms, bound, bound < tol)
 

@@ -4,30 +4,10 @@ tier-1 suite: a report key that VerificationReport(**v) needs, the `tol`
 argument of solve_problem, or ModalSeries.offset going away makes every
 benchmark op fail, and shows up here first."""
 
-import importlib
-import sys
-from pathlib import Path
-
-import pytest
 from numpy.polynomial import polynomial as npoly
 
+from conftest import ROOT
 from heatrobin import cli, solver
-
-ROOT = Path(__file__).resolve().parents[1]
-PERFBENCH = ROOT / "perfbench"
-# perfbench's modules import each other by these top-level names.
-MODULES = ("calib", "checks", "gen", "spans", "workload")
-
-
-@pytest.fixture
-def perfbench(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in MODULES:
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    yield importlib.import_module("gen"), importlib.import_module("workload")
-    for name in MODULES:
-        sys.modules.pop(name, None)
 
 
 def _execute_and_check(run, op) -> int:

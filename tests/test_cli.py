@@ -264,6 +264,21 @@ def test_a_writer_killed_by_a_signal_fails_the_solve_and_leaves_no_child(tmp_pat
     assert [p.name for p in out.iterdir()] == ["solution.csv"]
 
 
+@pytest.mark.parametrize("command, name", [("solve", "solution.csv"), ("verify", "verify_report.json")])
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, command, name):
+    # solve forks its CSV writers before it opens solution.csv
+    _usable_cpus(monkeypatch, 3)
+    cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"output error: cannot write {str(out / name)!r}: Is a directory\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 def test_solve_memory_does_not_grow_with_k(tmp_path):
     # holding the polynomial, modal and summed grids would add 1.8 MB here
     peaks = {}

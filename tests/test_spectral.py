@@ -1,4 +1,5 @@
-"""Eigenvalue brackets, stable boundary trig, projections, series truncation."""
+"""Eigenvalue brackets, stable boundary trig, projections, series truncation
+and live-mode evaluation."""
 
 import dataclasses
 import math
@@ -8,12 +9,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from heatrobin.polyalg import Poly1, trig_poly_integral
+from conftest import ROOT
+from heatrobin import cli, solver, spectral, verify
+from heatrobin.polyalg import Poly1, grid_axis, trig_poly_integral
 from heatrobin.spectral import (
     KINDS,
     EigenSystem,
     ModalSeries,
+    SeriesValue,
     _beyond_stored_bound,
+    _live_modes,
     eigenvalues,
     evaluate_series,
     evaluate_series_info,
@@ -503,3 +508,125 @@ def test_modal_series_arrays_are_built_once_and_read_only():
             assert got == want and np.array(got).tobytes() == np.array(want).tobytes()
         xs, ts = np.linspace(0.0, s.eigen.l, 7), np.linspace(0.0, 0.3, 5)
         assert s.grid(xs, ts).tobytes() == grid.tobytes()
+
+
+def _full_weights(series, ts):
+    # _damped_amplitudes with the exp taken over every stored mode
+    rates = series._rates
+    decay = np.exp(-(ts[:, None] * rates))
+    out = decay * series._amps
+    if series.source:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            memory = np.where(rates > 0.0, (1.0 - decay) / rates, ts[:, None])
+        out = out + memory * series._source
+    return out
+
+
+def _full_row_blocks(series, xs, ts):
+    # ModalSeries.row_blocks with the trig matrix of every stored mode
+    xs, ts = grid_axis(xs), grid_axis(ts)
+    tmat = (np.cos if series.trig == "cos" else np.sin)(np.outer(series._roots, xs))
+    for s in range(0, ts.size, 64):
+        yield s, _full_weights(series, ts[s : s + 64]) @ tmat + series.offset
+
+
+def _full_value(series, x, t, tol=1e-10):
+    # evaluate_series_info with the exp and trig of every stored mode
+    t = max(t, 0.0)
+    terms = _full_weights(series, np.array([t]))[0]
+    trig = (np.cos if series.trig == "cos" else np.sin)(series._roots * x)
+    bound = _beyond_stored_bound(series, t)
+    return SeriesValue(series.offset + float(terms @ trig), series.n_terms, bound, bound < tol)
+
+
+def _seeded_series(rng, kind, n_max, source=False):
+    k, nu, l = np.exp(rng.uniform(-2.0, 2.0, 3)).tolist()
+    amps = tuple(rng.normal(size=n_max).tolist())
+    memory = tuple(rng.normal(size=n_max).tolist()) if source else ()
+    return ModalSeries(eigenvalues(kind, k, nu, l, n_max), amps, source=memory)
+
+
+def _death_times(series):
+    # 0 and, for a few modes, times just inside and past the point where
+    # exp(-lam_n t) underflows to 0.0 (lam_n t = 745.13...)
+    rates = series._rates[series._rates > 0.0]
+    picks = rates[np.unique(np.linspace(0, rates.size - 1, 4).astype(int))] if rates.size else []
+    return [0.0, *sorted(c / r for r in picks for c in (700.5, 745.0, 745.13, 745.2, 746.0, 800.0))]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 17, 64, 300, 1024])
+@pytest.mark.parametrize("kind, source", [(k, False) for k in KINDS] + [("neumann_neumann", True)])
+def test_live_modes_repeat_the_full_sum_bit_for_bit(kind, source, n_max):
+    rng = np.random.default_rng(n_max)
+    ser = _seeded_series(rng, kind, n_max, source)
+    l = ser.eigen.l
+    xs = np.linspace(0.0, l, 41)
+    deaths = np.array(_death_times(ser))
+    tss = [
+        deaths,
+        deaths[::-1],
+        np.linspace(0.01, 1.0, 41),  # the residual probe's window
+        np.geomspace(deaths[1] if deaths.size > 1 else 1e-3, 10.0, 150),  # three blocks
+        np.array([]),
+    ]
+    shift = 1e-3 * l * np.exp(1j * math.pi / 4)
+    for ts in tss:
+        # the residual probe's complex steps, and an empty x axis
+        axes = [(xs, ts), (xs, ts + 1e-30j), (xs + shift, ts), (xs - shift, ts), (xs + 1e-30j, ts)]
+        axes.append(([], ts))
+        for x_axis, t_axis in axes:
+            want = [(s, b.tobytes()) for s, b in _full_row_blocks(ser, x_axis, t_axis)]
+            assert [(s, b.tobytes()) for s, b in ser.row_blocks(x_axis, t_axis)] == want
+            grid = ser.grid(x_axis, t_axis)
+            assert grid.shape == (len(t_axis), len(x_axis))
+            assert grid.tobytes() == b"".join(b for _, b in want)
+    for t in deaths.tolist() + [-1.0, 1e-6, 0.3]:
+        for x in (0.0, 0.37 * l, l):
+            got, want = evaluate_series_info(ser, x, t), _full_value(ser, x, t)
+            assert got == want and got.value.hex() == want.value.hex(), (x, t)
+
+
+def test_every_dropped_mode_has_a_zero_damping_factor():
+    rng = np.random.default_rng(19)
+    dropped = 0
+    for trial in range(120):
+        ser = _seeded_series(rng, KINDS[trial % 3], int(rng.integers(1, 1025)))
+        # the smallest time lies where some mode dies, or anywhere in 1e-7..10
+        t0 = rng.choice([*_death_times(ser)[1:], 10.0 ** rng.uniform(-7.0, 1.0)])
+        ts = t0 * (1.0 + 10.0 ** rng.uniform(-12.0, 3.0, size=int(rng.integers(0, 40))))
+        ts = np.append(ts, t0)
+        rng.shuffle(ts)
+        for axis in (ts, ts + 1e-30j):
+            live = _live_modes(ser, axis)
+            assert 0 <= live <= ser.n_terms
+            assert not np.exp(-np.outer(axis, ser._rates[live:])).any(), (trial, live)
+            dropped += ser.n_terms - live
+    assert dropped > 0
+    # every mode is live with a source, at t <= 0, at a NaN time and without times
+    ser = _seeded_series(rng, "neumann_robin", 64)
+    for ts in ([0.0, 1.0], [-1.0, 1.0], [1.0, math.nan], []):
+        assert _live_modes(ser, grid_axis(ts)) == 64
+    forced = _seeded_series(rng, "neumann_neumann", 64, source=True)
+    assert _live_modes(forced, grid_axis([1.0])) == 64
+    assert _live_modes(ser, grid_axis([1.0])) < 64
+
+
+def test_library_sessions_repeat_the_full_sum_bit_for_bit(perfbench, tmp_path, monkeypatch):
+    # the seed-0 library_spectral sessions' probe reports and lattice values
+    gen, _ = perfbench
+    ops = gen.cycle_ops("library_spectral", 0, ROOT, tmp_path)
+    assert len(ops) == 8
+
+    def session(op):
+        cfg = cli.load_config(str(op.config))
+        p = cfg.problem
+        sol = solver.solve_problem(p, n_max=cfg.n_max, tol=cfg.tol)
+        assert _live_modes(sol.modal, np.array([cfg.t_min])) < sol.modal.n_terms
+        rep = dataclasses.asdict(verify.residual_report(sol, t_min=cfg.t_min))
+        values = [sol(x, t, cfg.tol) for x, t in gen.session_lattice(p.l, p.T)]
+        return [v.hex() if isinstance(v, float) else v for v in [*rep.values(), *values]]
+
+    got = [session(op) for op in ops]
+    monkeypatch.setattr(ModalSeries, "row_blocks", _full_row_blocks)
+    monkeypatch.setattr(spectral, "evaluate_series_info", _full_value)
+    assert [session(op) for op in ops] == got
