@@ -1,9 +1,13 @@
 """Command-line front end: solve/verify/eigen driven by a JSON problem file.
 
-Exit codes: 0 success, 1 verification threshold failure, 2 config parse or
-validation error, an unusable output directory or an output file that
-cannot be written, 3 solver error (source parity violation, numerically
-singular matching system, parameters that overflow a float).
+Exit codes; a rejection prints one line to stderr that starts with its prefix:
+- 0 success, 1 a `verify` bound failed;
+- 2 `config error`: the config cannot be read, parsed or validated;
+- 2 `parameter error`: an `eigen` argument is out of range;
+- 2 `output error`: an --out directory or output file that cannot be written
+  (checked before the work that fills it), or a failed CSV writer process;
+- 3 `solver error`: wrong source parity, a numerically singular matching
+  system, or data that overflow a float.
 
 The config file is plain JSON with polynomial coefficient arrays in
 ascending-power order:
@@ -58,6 +62,10 @@ _CONFIG_KEYS = {"k", "nu", "l", "T", "boundary", "mu0", "F", "T0", "grid", "seri
 
 class ConfigError(ValueError):
     """Config file failed to parse or validate; message names the field."""
+
+
+class _Stop(Exception):
+    """Ends a command: main prints args[1] to stderr and returns args[0]."""
 
 
 @dataclass(frozen=True)
@@ -242,9 +250,9 @@ def _write_solution_csv(path: Path, sol: SemiAnalyticSolution, xs, ts) -> None:
     rows, sol.row_blocks(xs, ts[lo:hi]) with lo on a block boundary (so the
     very blocks of the whole grid), into an unnamed temporary file in path's
     directory. The parent writes the header and the first part, then joins
-    the writers in row order, checks each exit code and appends its file.
-    Whatever goes wrong, every writer is killed and joined. With one part
-    no process starts and the parent writes every row."""
+    the writers in row order and appends each file; a failed writer is an
+    output error. Whatever goes wrong, every writer is killed and joined.
+    With one part no process starts and the parent writes every row."""
     import multiprocessing
     import shutil
     import tempfile
@@ -267,7 +275,7 @@ def _write_solution_csv(path: Path, sol: SemiAnalyticSolution, xs, ts) -> None:
                 code = writer.exitcode
                 if code:
                     how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                    raise RuntimeError(f"the CSV writer of time rows {lo}-{hi - 1} failed: {how}")
+                    raise _Stop(2, f"output error: the CSV writer of time rows {lo}-{hi - 1} failed: {how}")
                 part.seek(0)
                 shutil.copyfileobj(part, out)
     finally:
@@ -297,16 +305,15 @@ def _report_dict(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> dic
     }
 
 
-def _report_text(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> str | None:
-    """The report as strict JSON, or, after printing why, None when it holds
-    a NaN or an infinity (parameters that overflow a float)."""
+def _report_text(cfg: RunConfig, sol: SemiAnalyticSolution, verification) -> str:
+    """The report as strict JSON; one that holds a NaN or an infinity
+    (parameters that overflow a float) stops the command with exit 3."""
     try:
         text = json.dumps(
             _report_dict(cfg, sol, verification), indent=2, sort_keys=True, allow_nan=False
         )
     except ValueError as exc:
-        print(f"solver error: the report holds a non-finite value ({exc})", file=sys.stderr)
-        return None
+        raise _Stop(3, f"solver error: the report holds a non-finite value ({exc})")
     return text + "\n"
 
 
@@ -346,16 +353,11 @@ def _solution_grids(cfg: RunConfig):
     return xs, ts
 
 
-def _load_and_solve(config: str, out: str):
-    """(cfg, sol, output directory) for a config file, or, after printing
-    why, the exit code: 2 for a config error or an output directory that
-    cannot be made, 3 for a solver rejection. The directory is made only
-    for a solution that passed these checks, before any grid is evaluated."""
-    try:
-        cfg = load_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def _load_and_solve(config: str, out: str, *names: str):
+    """(cfg, sol, the paths of names in directory out) for a config file.
+    Rejections raise, in this order: a bad config, the solver's (exit 3),
+    and, with no file left behind, an unusable directory or file (exit 2)."""
+    cfg = load_config(config)
     try:
         # an overflow inside the solve shows as a non-finite quantity below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -368,30 +370,35 @@ def _load_and_solve(config: str, out: str):
                 "the modal amplitudes' captured energy": captured,
             }
     except (ParityError, SingularSystemError, OverflowError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        raise _Stop(3, f"solver error: {exc}")
     for name, value in sizes.items():
         if not math.isfinite(value):
-            message = f"{name} is non-finite ({value}): the data overflow a float"
-            print(f"solver error: {message}", file=sys.stderr)
-            return 3
+            raise _Stop(3, f"solver error: {name} is non-finite ({value}): the data overflow a float")
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"output error: cannot create directory {out!r}: {exc.strerror}", file=sys.stderr)
-        return 2
-    return cfg, sol, Path(out)
+        raise _Stop(2, f"output error: cannot create directory {out!r}: {exc.strerror}")
+    paths = [Path(out) / name for name in names]
+    for path in paths:
+        _write(path, _check_writable)
+    return cfg, sol, paths
 
 
-def _write_output(path: Path, write, *args) -> bool:
-    """write(path, *args), or, after printing why, False on an OSError (say,
-    path is a directory); the CSV writers are joined by then."""
+def _check_writable(path: Path) -> None:
+    """Open path as writing it would; a file that this made is removed."""
+    made = not path.exists()
+    path.open("a").close()
+    if made:
+        path.unlink()
+
+
+def _write(path: Path, write, *args) -> None:
+    """write(path, *args); an OSError (say, path is a directory) stops the
+    command with exit 2. The CSV writers are joined by then."""
     try:
         write(path, *args)
     except OSError as exc:
-        print(f"output error: cannot write {str(path)!r}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    return True
+        raise _Stop(2, f"output error: cannot write {str(path)!r}: {exc.strerror or exc}")
 
 
 def _size_bound(sol: SemiAnalyticSolution) -> float:
@@ -404,32 +411,21 @@ def _size_bound(sol: SemiAnalyticSolution) -> float:
 
 
 def cmd_solve(config: str, out: str) -> int:
-    loaded = _load_and_solve(config, out)
-    if isinstance(loaded, int):
-        return loaded
-    cfg, sol, outdir = loaded
+    cfg, sol, (csv, report_path) = _load_and_solve(config, out, "solution.csv", "report.json")
     report = _report_text(cfg, sol, residual_report(sol, t_min=cfg.t_min))
-    if report is None:
-        return 3
     xs, ts = _solution_grids(cfg)
-    csv_ok = _write_output(outdir / "solution.csv", _write_solution_csv, sol, xs, ts)
-    if not (csv_ok and _write_output(outdir / "report.json", Path.write_text, report)):
-        return 2
-    print(f"wrote {outdir / 'solution.csv'} and {outdir / 'report.json'}")
+    _write(csv, _write_solution_csv, sol, xs, ts)
+    _write(report_path, Path.write_text, report)
+    print(f"wrote {csv} and {report_path}")
     return 0
 
 
 def cmd_verify(config: str, out: str = ".") -> int:
-    loaded = _load_and_solve(config, out)
-    if isinstance(loaded, int):
-        return loaded
-    cfg, sol, outdir = loaded
+    cfg, sol, (report_path,) = _load_and_solve(config, out, "verify_report.json")
     oracle = crank_nicolson_reference(cfg.problem, cfg.M, cfg.K)
     verification = residual_report(sol, t_min=cfg.t_min, oracle=oracle)
     rows = threshold_rows(verification, cfg.problem.boundary)
     report = _report_text(cfg, sol, verification)
-    if report is None:
-        return 3
 
     width = max(len(name) for name, *_ in rows)
     print(f"{'check'.ljust(width)}  {'value':>13}  {'bound':>10}  status")
@@ -442,23 +438,19 @@ def cmd_verify(config: str, out: str = ".") -> int:
         for line in verification.diagnostics:
             print(f"  - {line}")
 
-    if not _write_output(outdir / "verify_report.json", Path.write_text, report):
-        return 2
+    _write(report_path, Path.write_text, report)
     return 0 if all(ok for *_, ok in rows) else 1
 
 
 def cmd_eigen(kind: str, k: float, nu: float, l: float, n: int) -> int:
     mapped = _BOUNDARY_ALIASES.get(kind)  # the two Robin kinds only
     if mapped is None:
-        print(f"parameter error: kind must be 'nr' or 'dr', got {kind!r}", file=sys.stderr)
-        return 2
+        raise _Stop(2, f"parameter error: kind must be 'nr' or 'dr', got {kind!r}")
     for name, v in (("k", k), ("nu", nu), ("l", l)):
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            print(f"parameter error: {name} must be a positive number, got {v!r}", file=sys.stderr)
-            return 2
+            raise _Stop(2, f"parameter error: {name} must be a positive number, got {v!r}")
     if not (1 <= n <= 1024):
-        print(f"parameter error: n must be in [1, 1024], got {n}", file=sys.stderr)
-        return 2
+        raise _Stop(2, f"parameter error: n must be in [1, 1024], got {n}")
     # an overflow inside the root search shows as a non-finite value below
     with np.errstate(over="ignore", invalid="ignore"):
         eig = eigenvalues(mapped, k, nu, l, n)
@@ -467,8 +459,7 @@ def cmd_eigen(kind: str, k: float, nu: float, l: float, n: int) -> int:
         rel = res / np.maximum(nu, k * sigma)
     for i in np.flatnonzero(~np.isfinite(sigma + res))[:1]:
         name, value = ("root", sigma[i]) if not np.isfinite(sigma[i]) else ("residual", res[i])
-        print(f"solver error: {name} {i} is non-finite ({value}): the data overflow a float", file=sys.stderr)
-        return 3
+        raise _Stop(3, f"solver error: {name} {i} is non-finite ({value}): the data overflow a float")
     header = (
         "index  sigma                  bracket_lo             bracket_hi             residual   "
         "gap_to_pi_multiple     rel_residual"
@@ -506,11 +497,18 @@ def main(argv=None) -> int:
     p_eigen.add_argument("-n", type=int, default=8, help="number of roots (default 8)")
 
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args.config, args.out)
-    if args.command == "verify":
-        return cmd_verify(args.config, args.out)
-    return cmd_eigen(args.kind, args.k, args.nu, args.l, args.n)
+    try:
+        if args.command == "solve":
+            return cmd_solve(args.config, args.out)
+        if args.command == "verify":
+            return cmd_verify(args.config, args.out)
+        return cmd_eigen(args.kind, args.k, args.nu, args.l, args.n)
+    except ConfigError as exc:
+        code, message = 2, f"config error: {exc}"
+    except _Stop as exc:
+        code, message = exc.args
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

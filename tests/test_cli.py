@@ -233,19 +233,23 @@ def test_a_failing_writer_fails_the_solve_and_leaves_no_child(tmp_path, monkeypa
     _usable_cpus(monkeypatch, 3)
     cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
     out = tmp_path / "out"
-    expected = RuntimeError if where == "child" else ValueError
-    with pytest.raises(expected, match="CSV writer of time rows" if where == "child" else "parent"):
-        cli.cmd_solve(cfg, str(out))
+    argv = ["solve", "--config", cfg, "--out", str(out)]
+    if where == "child":  # the child printed its traceback and exited: an output error
+        assert cli.main(argv) == 2
+        err = capfd.readouterr().err
+        assert "ValueError: rows fail in the child" in err
+        assert err.endswith("output error: the CSV writer of time rows 64-127 failed: exit status 1\n")
+    else:  # a program error in the parent stays a traceback
+        with pytest.raises(ValueError, match="parent"):
+            cli.main(argv)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    if where == "child":  # the child printed its traceback and exited
-        assert "ValueError: rows fail in the child" in capfd.readouterr().err
     # no temporary file; a child's failure leaves the parent's rows, as a
     # serial write failing there would
     assert [p.name for p in out.iterdir()] == (["solution.csv"] if where == "child" else [])
 
 
-def test_a_writer_killed_by_a_signal_fails_the_solve_and_leaves_no_child(tmp_path, monkeypatch):
+def test_a_writer_killed_by_a_signal_fails_the_solve_and_leaves_no_child(tmp_path, monkeypatch, capsys):
     real = cli.SemiAnalyticSolution.row_blocks
 
     def row_blocks(sol, xs, ts):
@@ -257,17 +261,24 @@ def test_a_writer_killed_by_a_signal_fails_the_solve_and_leaves_no_child(tmp_pat
     _usable_cpus(monkeypatch, 3)
     cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
     out = tmp_path / "out"
-    with pytest.raises(RuntimeError, match="CSV writer of time rows .* signal 9"):
-        cli.cmd_solve(cfg, str(out))
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "output error: the CSV writer of time rows 64-127 failed: signal 9\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert [p.name for p in out.iterdir()] == ["solution.csv"]
 
 
-@pytest.mark.parametrize("command, name", [("solve", "solution.csv"), ("verify", "verify_report.json")])
+@pytest.mark.parametrize(
+    "command, name",
+    [("solve", "solution.csv"), ("solve", "report.json"), ("verify", "verify_report.json")],
+)
 def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, command, name):
-    # solve forks its CSV writers before it opens solution.csv
+    # each output file is checked before the work that fills it
     _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_write_solution_csv", lambda *a: pytest.fail("CSV writers ran"))
+    monkeypatch.setattr(cli, "residual_report", lambda *a, **k: pytest.fail("probed"))
+    monkeypatch.setattr(cli, "crank_nicolson_reference", lambda *a, **k: pytest.fail("oracle ran"))
     cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
