@@ -5,7 +5,9 @@ Exit codes; a rejection prints one line to stderr that starts with its prefix:
 - 2 `config error`: the config cannot be read, parsed or validated;
 - 2 `parameter error`: an `eigen` argument is out of range;
 - 2 `output error`: an --out directory or output file that cannot be written
-  (checked before the work that fills it), or a failed CSV writer process;
+  (checked before the work that fills it), or a failed CSV writer process.
+  Output files are written under temporary names and renamed into place
+  only when all are complete, so a failed run leaves the old ones;
 - 3 `solver error`: wrong source parity, a numerically singular matching
   system, or data that overflow a float.
 
@@ -380,7 +382,7 @@ def _load_and_solve(config: str, out: str, *names: str):
         raise _Stop(2, f"output error: cannot create directory {out!r}: {exc.strerror}")
     paths = [Path(out) / name for name in names]
     for path in paths:
-        _write(path, _check_writable)
+        _write(path, _check_writable, path)
     return cfg, sol, paths
 
 
@@ -393,12 +395,34 @@ def _check_writable(path: Path) -> None:
 
 
 def _write(path: Path, write, *args) -> None:
-    """write(path, *args); an OSError (say, path is a directory) stops the
-    command with exit 2. The CSV writers are joined by then."""
+    """write(*args) on behalf of output file path; an OSError (say, path is a
+    directory) stops the command with exit 2. The CSV writers are joined by
+    then."""
     try:
-        write(path, *args)
+        write(*args)
     except OSError as exc:
         raise _Stop(2, f"output error: cannot write {str(path)!r}: {exc.strerror or exc}")
+
+
+def _write_all(*files) -> None:
+    """Write the output files (path, write, *args) all or nothing.
+
+    write(tmp, *args) fills a temporary name beside each path. Only when all
+    are complete do they move into place with os.replace, and the files after
+    the first are unlinked before the first is replaced, so a new file never
+    sits beside a stale one. On failure the temporaries are removed and the
+    old files stay as they were."""
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, *_ in files]
+    try:
+        for (path, write, *args), tmp in zip(files, temps):
+            _write(path, write, tmp, *args)
+        for path, *_ in files[1:]:
+            _write(path, path.unlink, True)
+        for (path, *_), tmp in zip(files, temps):
+            _write(path, os.replace, tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _size_bound(sol: SemiAnalyticSolution) -> float:
@@ -414,8 +438,7 @@ def cmd_solve(config: str, out: str) -> int:
     cfg, sol, (csv, report_path) = _load_and_solve(config, out, "solution.csv", "report.json")
     report = _report_text(cfg, sol, residual_report(sol, t_min=cfg.t_min))
     xs, ts = _solution_grids(cfg)
-    _write(csv, _write_solution_csv, sol, xs, ts)
-    _write(report_path, Path.write_text, report)
+    _write_all((csv, _write_solution_csv, sol, xs, ts), (report_path, Path.write_text, report))
     print(f"wrote {csv} and {report_path}")
     return 0
 
@@ -438,7 +461,7 @@ def cmd_verify(config: str, out: str = ".") -> int:
         for line in verification.diagnostics:
             print(f"  - {line}")
 
-    _write(report_path, Path.write_text, report)
+    _write_all((report_path, Path.write_text, report))
     return 0 if all(ok for *_, ok in rows) else 1
 
 

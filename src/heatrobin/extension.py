@@ -13,21 +13,20 @@ The key facts used throughout:
   P(l, t) + (k/nu) * dP/dx(l, t), a polynomial in t. Matching it to a degree-N
   target yields an upper-triangular linear system in the data coefficients.
 
-The triangular system is generated by pushing basis monomials through
-(trace o evolve) rather than transcribed from any closed-form tabulation;
-a sign-variant tabulation is kept alongside purely as a diagnostic
-comparator (see flux_sign_variant_matrix).
+The triangular system is built from the heat-polynomial weights (Rosenbloom
+& Widder, Trans. AMS 92, 1959) with the products that (trace o evolve) takes,
+and a tier-1 test pins it to that composition bit for bit; a sign-variant
+tabulation is kept purely as a diagnostic comparator (flux_sign_variant_matrix).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .polyalg import Poly1, Poly2, half_factorial_coeff
+from .polyalg import Poly1, Poly2
 
 __all__ = [
     "ParityError",
@@ -111,26 +110,16 @@ class CoefficientSystem:
         return np.asarray(self.matrix, dtype=float)
 
 
-def _evolve_table(a, k: float, offset: int) -> Poly2:
-    # offset 0: basis x^{2i}; offset 1: basis x^{2i+1}
-    if k <= 0:
-        raise ValueError("k must be positive")
-    a = [float(v) for v in a]
-    while a and a[-1] == 0.0:
-        a.pop()
-    if not a:
-        return Poly2.zero()
-    n = len(a)
-    four_k = Fraction(4 * k)
-    table = np.zeros((2 * (n - 1) + offset + 1, n))
-    for i, ai in enumerate(a):
-        if ai == 0.0:
-            continue
-        p = 2 * i + offset
-        for j in range(i + 1):
-            w = Fraction(math.comb(p, 2 * j)) * half_factorial_coeff(j) * four_k**j
-            table[p - 2 * j, j] = ai * float(w)
-    return Poly2(tuple(map(tuple, table)))
+def _heat_weight(p: int, j: int, k: float, num: int = 1, den: int = 1, data: str = "") -> float:
+    """p!/((p-2j)!*j!) * k**j * num/den, the heat-polynomial weight of x**(p-2j)
+    * t**j in the evolution of x**p, as one int ratio rounded once (as float of
+    a Fraction is). An overflow names k, or `data` where num/den carry more."""
+    try:
+        n, d = float(k).as_integer_ratio()
+        return math.perm(p, 2 * j) * n**j * num / (math.factorial(j) * d**j * den)
+    except OverflowError:
+        term = f"x**{p - 2 * j} * t**{j} in the heat evolution of x**{p}"
+        raise OverflowError(f"the weight of {term} overflows a float ({data or f'k = {float(k)!r}'})") from None
 
 
 def evolve_profile(profile: ExtensionProfile, k: float) -> Poly2:
@@ -140,7 +129,21 @@ def evolve_profile(profile: ExtensionProfile, k: float) -> Poly2:
     u(x,0) = mu(x). Only even x powers occur for parity 'even', so
     du/dx(0,t) = 0 identically; only odd ones for 'odd', so u(0,t) = 0.
     """
-    return _evolve_table(profile.coeffs, k, _parity_offset(profile.parity))
+    if k <= 0:
+        raise ValueError("k must be positive")
+    off, a = _parity_offset(profile.parity), list(profile.coeffs)
+    while a and a[-1] == 0.0:
+        a.pop()
+    if not a:
+        return Poly2.zero()
+    table = np.zeros((2 * (len(a) - 1) + off + 1, len(a)))
+    for i, ai in enumerate(a):
+        if ai == 0.0:
+            continue
+        p = 2 * i + off
+        for j in range(i + 1):
+            table[p - 2 * j, j] = ai * _heat_weight(p, j, k)
+    return Poly2(tuple(map(tuple, table)))
 
 
 def _check_parity(F: Poly2, parity: str) -> None:
@@ -174,20 +177,14 @@ def duhamel_poly(F: Poly2, k: float, parity: str) -> Poly2:
     arr = F.array
     nx, nt = arr.shape
     out = np.zeros((nx, nt + (nx - 1) // 2 + 1))
-    four_k = Fraction(4 * k)
     for p in range(nx):
         for m in range(nt):
             f = arr[p, m]
             if f == 0.0:
                 continue
             for j in range(p // 2 + 1):
-                w = (
-                    Fraction(math.comb(p, 2 * j))
-                    * half_factorial_coeff(j)
-                    * four_k**j
-                    * Fraction(math.factorial(m) * math.factorial(j), math.factorial(m + j + 1))
-                )
-                out[p - 2 * j, m + j + 1] += f * float(w)
+                w = _heat_weight(p, j, k, math.factorial(m) * math.factorial(j), math.factorial(m + j + 1))
+                out[p - 2 * j, m + j + 1] += f * w
     return Poly2(tuple(map(tuple, out)))
 
 
@@ -203,23 +200,29 @@ def robin_trace(P: Poly2, k: float, nu: float, l: float) -> Poly1:
 def build_coefficient_system(
     N: int, k: float, nu: float, l: float, parity: str = "even"
 ) -> CoefficientSystem:
-    """Generate the (N+1)x(N+1) trace-matching system.
+    """Build the (N+1)x(N+1) trace-matching system.
 
     Column i is the t-coefficient vector of robin_trace(evolve(e_i)) where
-    e_i puts a unit coefficient on the i-th basis monomial. The matrix is
-    upper triangular; for even parity the diagonal entry j equals
-    c_j * (4k)**j.
+    e_i is the i-th basis monomial x**p: with w the weight of x**q * t**j,
+    entry (j, i) is w*l*...*l (q = p - 2j factors, left to right) plus k/nu
+    times (q*w)*l*...*l (q - 1 factors), Horner's products on a one-entry
+    column. Upper triangular; for even parity entry (j, j) is c_j * (4k)**j.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     off = _parity_offset(parity)
+    if k <= 0 or nu <= 0 or l <= 0:
+        raise ValueError("k, nu, l must be positive")
     mat = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
-        e = [0.0] * (i + 1)
-        e[i] = 1.0
-        col = robin_trace(_evolve_table(e, k, off), k, nu, l)
-        for j, v in enumerate(col.coeffs):
-            mat[j, i] = v
+        p = 2 * i + off
+        for j in range(i + 1):
+            q = p - 2 * j
+            value = w = _heat_weight(p, j, k)
+            slope = q * w
+            for _ in range(q - 1):
+                value, slope = value * l, slope * l
+            mat[j, i] = value * l + (k / nu) * slope if q else w
     return CoefficientSystem(parity, float(k), float(nu), float(l), tuple(map(tuple, mat)))
 
 
@@ -238,19 +241,16 @@ def flux_sign_variant_matrix(
         raise ValueError("N must be nonnegative")
     off = _parity_offset(parity)
     mat = np.zeros((N + 1, N + 1))
-    lq = Fraction(l)
+    (kn, kd), (nn, nd), (ln, ld) = (float(v).as_integer_ratio() for v in (k, nu, l))
+    data = f"k = {float(k)!r}, nu = {float(nu)!r}, l = {float(l)!r}"
     for i in range(N + 1):
         p = 2 * i + off
         for j in range(i + 1):
-            w = Fraction(math.comb(p, 2 * j)) * half_factorial_coeff(j) * lq ** (p - 2 * j)
-            if 2 * j + 1 <= p:
-                w -= (
-                    Fraction(2 * k) / Fraction(nu)
-                    * Fraction(math.comb(p, 2 * j + 1))
-                    * half_factorial_coeff(j + 1)
-                    * lq ** (p - 2 * j - 1)
-                )
-            mat[j, i] = float(w) * (4 * k) ** j
+            q = p - 2 * j
+            # C(p,2j)*c_j * l**(q-1)*(l - q*k/nu) as one ratio, times ln/ln so that q = 0 needs no 1/l
+            num = ln**q * (ln * kd * nn - q * kn * nd * ld)
+            w = _heat_weight(p, j, 0.25, num, ld**q * kd * nn * ln, data)
+            mat[j, i] = w * (4 * k) ** j
     return mat
 
 

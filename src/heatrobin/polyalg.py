@@ -4,8 +4,8 @@ boundary-matching machinery is built on.
 
 Coefficients are double-precision floats, and point values are Horner's rule
 on Python floats, bit-identical to numpy.polynomial. Combinatorial factors
-(binomials, double-factorial ratios) are exact rationals, cast to float as
-late as possible so that small triangular systems stay bit-reproducible.
+(binomials, double-factorial ratios) are exact integer ratios, rounded to
+float once, so that small triangular systems stay bit-reproducible.
 """
 
 from __future__ import annotations

@@ -244,9 +244,8 @@ def test_a_failing_writer_fails_the_solve_and_leaves_no_child(tmp_path, monkeypa
             cli.main(argv)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    # no temporary file; a child's failure leaves the parent's rows, as a
-    # serial write failing there would
-    assert [p.name for p in out.iterdir()] == (["solution.csv"] if where == "child" else [])
+    # nothing new is left: no temporary, no partial CSV
+    assert [p.name for p in out.iterdir()] == []
 
 
 def test_a_writer_killed_by_a_signal_fails_the_solve_and_leaves_no_child(tmp_path, monkeypatch, capsys):
@@ -266,7 +265,39 @@ def test_a_writer_killed_by_a_signal_fails_the_solve_and_leaves_no_child(tmp_pat
     assert err == "output error: the CSV writer of time rows 64-127 failed: signal 9\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert [p.name for p in out.iterdir()] == ["solution.csv"]
+    assert [p.name for p in out.iterdir()] == []
+
+
+def _fail_a_writer(monkeypatch):
+    real = cli.SemiAnalyticSolution.row_blocks
+
+    def row_blocks(sol, xs, ts):
+        if ts[0] != 0.0:  # in a writer process
+            raise ValueError("rows fail in the child")
+        return real(sol, xs, ts)
+
+    monkeypatch.setattr(cli.SemiAnalyticSolution, "row_blocks", row_blocks)
+
+
+def _fail_the_report(monkeypatch):
+    def write_text(path, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.Path, "write_text", write_text)
+
+
+@pytest.mark.parametrize("fail", [_fail_a_writer, _fail_the_report], ids=["writer", "report"])
+def test_a_failed_solve_leaves_the_old_outputs_byte_for_byte(tmp_path, monkeypatch, fail):
+    _usable_cpus(monkeypatch, 3)
+    out = tmp_path / "out"
+    old = _write_config(tmp_path, {**_raw("ex2"), "grid": {"M": 10, "K": 10}}, "old.json")
+    assert cli.main(["solve", "--config", old, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["report.json", "solution.csv"]
+    cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
+    fail(monkeypatch)
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize(
@@ -392,6 +423,30 @@ def test_odd_source_under_flux_left_boundary_exits_3(tmp_path):
         assert "solver error:" in proc.stderr and "non-finite" in proc.stderr
         assert proc.stdout == ""
         assert not out.exists()
+
+
+HUGE_K = "solver error: the weight of x**{} * t**{} in the heat evolution of x**{} overflows a float (k = {})\n"
+
+
+@pytest.mark.parametrize(
+    "k, data, rc, err",
+    [
+        (1e200, "constant", 0, ""),
+        (4e307, "constant", 3, "solver error: the report holds a non-finite value"),
+        (1e308, "constant", 3, "solver error: the report holds a non-finite value"),
+        (1e200, "quadratic", 3, HUGE_K.format(0, 2, 4, "1e+200")),
+        (4e307, "quadratic", 3, HUGE_K.format(2, 1, 4, "4e+307")),
+        (1e308, "quadratic", 3, HUGE_K.format(0, 1, 2, "1e+308")),
+    ],
+    ids=["1e200-constant", "4e307-constant", "1e308-constant", "1e200-quadratic", "4e307-quadratic", "1e308-quadratic"],
+)
+def test_a_huge_diffusivity_exits_with_a_readable_message(tmp_path, k, data, rc, err):
+    # the messages used to be Python's own: "cannot convert Infinity to
+    # integer ratio" or "integer division result too large for a float"
+    mu0, T0 = ([1], [1]) if data == "constant" else ([1, 0, 1], [1, 1, 1])
+    payload = {**EX2, "k": k, "mu0": mu0, "F": [], "T0": T0, "grid": {"M": 20, "K": 20}}
+    proc = _run("solve", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stderr[: len(err) or None]) == (rc, err), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 """Heat evolution of parity polynomials, Duhamel sources, trace matching."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import ROOT
+from heatrobin import cli
 from heatrobin.extension import (
     ExtensionProfile,
     ParityError,
@@ -17,7 +21,7 @@ from heatrobin.extension import (
     matrix_discrepancy_report,
     robin_trace,
 )
-from heatrobin.polyalg import Poly1, Poly2
+from heatrobin.polyalg import Poly1, Poly2, half_factorial_coeff
 
 
 def _evolve(parity, a, k):
@@ -320,3 +324,116 @@ def test_evolved_trace_matches_kernel_convolution():
         closed = robin_trace(evolve_profile(prof, k), k, nu, l)(t)
         quad = _kernel_convolution_trace(prof, k, nu, l, t)
         assert abs(closed - quad) < 1e-8, (parity, k, nu, l, t, closed, quad)
+
+
+# Reference copies of the Fraction-weight extension layer: each weight is
+# C(p, 2j) * c_j * (4k)**j as an exact rational cast to float, and column i
+# of the matching system is robin_trace(evolve(e_i)) itself. The module must
+# keep their bits.
+
+
+def _fraction_evolve(a, k, off):
+    a = list(a)
+    while a and a[-1] == 0.0:
+        a.pop()
+    if not a:
+        return Poly2.zero()
+    table = np.zeros((2 * (len(a) - 1) + off + 1, len(a)))
+    for i, ai in enumerate(a):
+        if ai == 0.0:
+            continue
+        p = 2 * i + off
+        for j in range(i + 1):
+            w = Fraction(math.comb(p, 2 * j)) * half_factorial_coeff(j) * Fraction(4 * k) ** j
+            table[p - 2 * j, j] = ai * float(w)
+    return Poly2(tuple(map(tuple, table)))
+
+
+def _trace_of_evolve_system(N, k, nu, l, off):
+    mat = np.zeros((N + 1, N + 1))
+    for i in range(N + 1):
+        col = robin_trace(_fraction_evolve([0.0] * i + [1.0], k, off), k, nu, l)
+        mat[: len(col.coeffs), i] = col.coeffs
+    return mat
+
+
+def _fraction_duhamel(F, k):
+    arr = F.array
+    nx, nt = arr.shape
+    out = np.zeros((nx, nt + (nx - 1) // 2 + 1))
+    for p in range(nx):
+        for m in range(nt):
+            if arr[p, m] == 0.0:
+                continue
+            for j in range(p // 2 + 1):
+                w = (
+                    Fraction(math.comb(p, 2 * j))
+                    * half_factorial_coeff(j)
+                    * Fraction(4 * k) ** j
+                    * Fraction(math.factorial(m) * math.factorial(j), math.factorial(m + j + 1))
+                )
+                out[p - 2 * j, m + j + 1] += arr[p, m] * float(w)
+    return Poly2(tuple(map(tuple, out)))
+
+
+def _fraction_flux_variant(N, k, nu, l, off):
+    mat = np.zeros((N + 1, N + 1))
+    for i in range(N + 1):
+        p = 2 * i + off
+        for j in range(i + 1):
+            w = Fraction(math.comb(p, 2 * j)) * half_factorial_coeff(j) * Fraction(l) ** (p - 2 * j)
+            if 2 * j + 1 <= p:
+                w -= (
+                    Fraction(2 * k) / Fraction(nu) * Fraction(math.comb(p, 2 * j + 1))
+                    * half_factorial_coeff(j + 1) * Fraction(l) ** (p - 2 * j - 1)
+                )
+            mat[j, i] = float(w) * (4 * k) ** j
+    return mat
+
+
+def _hex(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, [v.hex() for v in a.ravel().tolist()]
+
+
+def _assert_same_bits(N, k, nu, l, parity, mu, F):
+    off = 0 if parity == "even" else 1
+    what = (N, k, nu, l, parity)
+    got = build_coefficient_system(N, k, nu, l, parity).array
+    assert _hex(got) == _hex(_trace_of_evolve_system(N, k, nu, l, off)), what
+    assert _hex(flux_sign_variant_matrix(N, k, nu, l, parity)) == _hex(
+        _fraction_flux_variant(N, k, nu, l, off)
+    ), what
+    prof = ExtensionProfile(parity, mu)
+    assert _hex(evolve_profile(prof, k).array) == _hex(_fraction_evolve(mu, k, off).array), what
+    assert _hex(duhamel_poly(F, k, parity).array) == _hex(_fraction_duhamel(F, k).array), what
+
+
+def test_integer_weights_keep_the_bits_of_trace_of_evolve():
+    rng = random.Random(2110)
+    log_uniform = lambda lo, hi: 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+    for _ in range(300):
+        k, nu, l = log_uniform(1e-6, 1e6), log_uniform(1e-6, 1e6), log_uniform(1e-2, 1e1)
+        parity = rng.choice(("even", "odd"))
+        N = rng.randint(0, 12)
+        want = 0 if parity == "even" else 1
+        mu = [rng.uniform(-2, 2) for _ in range(N + 1)]
+        rows = [
+            tuple(rng.uniform(-2, 2) if i % 2 == want else 0.0 for _ in range(rng.randint(1, 4)))
+            for i in range(rng.randint(1, 9))
+        ]
+        _assert_same_bits(N, k, nu, l, parity, mu, Poly2(rows))
+
+
+def test_session_systems_keep_the_bits_of_trace_of_evolve(perfbench, tmp_path):
+    # the seed-0 library_spectral sessions' systems, sources and profiles
+    gen, _ = perfbench
+    ops = gen.cycle_ops("library_spectral", 0, ROOT, tmp_path)
+    assert len(ops) == 8
+    for op in ops:
+        p = cli.load_config(str(op.config)).problem
+        parity = "even" if p.boundary == "neumann_robin" else "odd"
+        target = p.T0 - robin_trace(duhamel_poly(p.F, p.k, parity), p.k, p.nu, p.l)
+        N = max(target.degree, 0)
+        mu = match_boundary_polynomial(target, build_coefficient_system(N, p.k, p.nu, p.l, parity)).coeffs
+        _assert_same_bits(N, p.k, p.nu, p.l, parity, mu, p.F)
