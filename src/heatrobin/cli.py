@@ -38,6 +38,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -404,6 +405,17 @@ def _write(path: Path, write, *args) -> None:
         raise _Stop(2, f"output error: cannot write {str(path)!r}: {exc.strerror or exc}")
 
 
+def _running(pid: int) -> bool:
+    """Whether a process with this pid exists (signal 0 checks without sending)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # it runs under another user
+        pass
+    return True
+
+
 def _write_all(*files) -> None:
     """Write the output files (path, write, *args) all or nothing.
 
@@ -411,8 +423,15 @@ def _write_all(*files) -> None:
     are complete do they move into place with os.replace, and the files after
     the first are unlinked before the first is replaced, so a new file never
     sits beside a stale one. On failure the temporaries are removed and the
-    old files stay as they were."""
+    old files stay as they were. Temporaries of these names left by a run
+    whose process is gone (killed mid-write) are removed first."""
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, *_ in files]
+    for path, *_ in files:
+        stale = re.compile(rf"\.{re.escape(path.name)}\.([0-9]{{1,9}})\.tmp")
+        for tmp in path.parent.glob(f".{path.name}.*.tmp"):  # the regex decides
+            match = stale.fullmatch(tmp.name)
+            if match and not _running(int(match[1])):
+                _write(path, tmp.unlink, True)
     try:
         for (path, write, *args), tmp in zip(files, temps):
             _write(path, write, tmp, *args)

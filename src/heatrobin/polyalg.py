@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -38,6 +39,22 @@ def _horner(coeffs, v):
     for c in coeffs[-2::-1]:
         acc = c + acc * v
     return acc
+
+
+_CACHE_ROWS = 64  # rows per factor cache of an object; a full cache is cleared
+
+
+def _cached_row(cache: dict, v, make):
+    """make(), kept in cache under the hex of v (-0.0 apart from 0.0) if v is a
+    finite float; made anew for any other v."""
+    if not (isinstance(v, float) and math.isfinite(v)):
+        return make()
+    row = cache.get(v.hex())
+    if row is None:
+        if len(cache) >= _CACHE_ROWS:
+            cache.clear()
+        row = cache[v.hex()] = make()
+    return row
 
 
 def _trim1(coeffs) -> tuple[float, ...]:
@@ -144,7 +161,8 @@ class Poly1:
 
 @dataclass(frozen=True)
 class Poly2:
-    """Dense bivariate polynomial: coeffs[i][m] multiplies x**i * t**m."""
+    """Dense bivariate polynomial: coeffs[i][m] multiplies x**i * t**m. A point
+    keeps its Horner-in-x column values per finite float x, 64 at most."""
 
     coeffs: tuple[tuple[float, ...], ...] = ()
 
@@ -164,8 +182,13 @@ class Poly2:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @cached_property
+    def _columns(self):  # the columns, one per power of t, and their values per x
+        return tuple(zip(*(self.coeffs or ((0.0,),)))), {}
+
     def __call__(self, x, t):
-        return _horner([_horner(col, x) for col in zip(*(self.coeffs or ((0.0,),)))], t)
+        cols, rows = self._columns
+        return _horner(_cached_row(rows, x, lambda: [_horner(col, x) for col in cols]), t)
 
     def grid(self, xs, ts) -> np.ndarray:
         """Evaluate on the tensor grid, returned with shape (len(ts), len(xs)).

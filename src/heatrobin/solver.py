@@ -114,6 +114,15 @@ class ProblemSpec:
         return {name: d for name, (d, scale) in corners.items() if abs(d) > 1e-9 * scale}
 
 
+def _times(ts) -> np.ndarray:
+    """ts as a grid axis; the first negative time (or real part) raises ValueError."""
+    ts = grid_axis(ts)
+    negative = ts[ts.real < 0]
+    if negative.size:
+        raise ValueError(f"the solution is defined for t >= 0, got t = {negative[0].item()!r}")
+    return ts
+
+
 @dataclass(frozen=True)
 class SemiAnalyticSolution:
     """poly_part(x,t) plus the damped modal correction series.
@@ -130,18 +139,24 @@ class SemiAnalyticSolution:
     diagnostics: tuple[str, ...]
 
     def __call__(self, x: float, t: float, tol: float = 1e-10) -> float:
+        """The value at one point; a negative t (or real part) raises ValueError."""
+        if t.real < 0:
+            raise ValueError(f"the solution is defined for t >= 0, got t = {t!r}")
         return float(self.poly_part(x, t)) + evaluate_series(self.modal, x, t, tol)
 
     def on_grid(self, xs, ts) -> np.ndarray:
         """Full-sum evaluation, shape (len(ts), len(xs)); complex xs or ts
-        give the complex-analytic continuation."""
+        give the complex-analytic continuation. A negative time (or real
+        part) raises ValueError."""
+        ts = _times(ts)
         return self.poly_part.grid(xs, ts) + self.modal.grid(xs, ts)
 
     def row_blocks(self, xs, ts):
         """Yield (start, block), block being rows start to start + 63 of
         on_grid(xs, ts) in ModalSeries.row_blocks' blocks; for real xs and ts
-        they equal on_grid's rows bit for bit."""
-        ts = grid_axis(ts)
+        they equal on_grid's rows bit for bit. A negative time (or real part)
+        raises ValueError once the iteration starts."""
+        ts = _times(ts)
         for s, block in self.modal.row_blocks(xs, ts):
             yield s, self.poly_part.grid(xs, ts[s : s + len(block)]) + block
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import Poly1, grid_axis, trig_poly_integral
+from .polyalg import Poly1, _cached_row, grid_axis, trig_poly_integral
 
 __all__ = [
     "EigenSystem",
@@ -210,7 +210,9 @@ class ModalSeries:
     amplitudes and source, and the envelope max|a|, built once per series and
     read-only; they are not fields, so ==, hash and repr see the tuples only.
     They sum every stored term but take exp and trig for the live modes only
-    (_live_modes), zero-filling the rest: the sums keep their bits."""
+    (_live_modes), zero-filling the rest: the sums keep their bits. Point
+    evaluation caches its factor rows per finite float t and x, 64 per cache
+    (see evaluate_series_info); the caches are not fields either."""
 
     eigen: EigenSystem
     amplitudes: tuple[float, ...]
@@ -230,6 +232,8 @@ class ModalSeries:
             values.flags.writeable = False
             object.__setattr__(self, name, values)
         object.__setattr__(self, "_envelope", float(np.max(np.abs(self._amps), initial=0.0)))
+        object.__setattr__(self, "_weight_rows", {})
+        object.__setattr__(self, "_trig_rows", {})
 
     @property
     def n_terms(self) -> int:
@@ -295,6 +299,13 @@ def _damped_amplitudes(series: ModalSeries, ts: np.ndarray, live: int) -> np.nda
     return out
 
 
+def _weight_row(series: ModalSeries, t: float) -> tuple[np.ndarray, int, float]:
+    """(w_n(t), zero past the live modes; the live count; the tail bound) at t."""
+    ts = np.array([t])
+    live = _live_modes(series, ts)
+    return _damped_amplitudes(series, ts, live)[0], live, _beyond_stored_bound(series, t)
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """Evaluation result with the truncation side channel; terms_used is
@@ -333,24 +344,30 @@ def evaluate_series_info(
 ) -> SeriesValue:
     """Evaluate at a point and report the truncation side channel.
 
-    Every stored term is summed, as in ModalSeries.grid, with exp and trig
-    taken for the live modes only and zeros in place of the others; the
-    tail bound is the geometric bound on the terms past the stored ones,
-    and it is verified when it falls below tol. Times t <= 0 evaluate the
-    initial line t = 0, where the damping is gone: the tail bound is
-    infinite and nothing is certified, unless the series is identically
-    zero.
+    The value is offset + weights(t) @ trig(x) over every stored term, as in
+    ModalSeries.grid: the weight row, with the tail bound, is zero past the
+    modes live at t, and the trig row past the modes computed so far for x.
+    For finite float t and x both rows are kept on the series, 64 per cache
+    (a full cache is cleared); a kept trig row grows in place when a later t
+    has more live modes, and its extra modes meet zero weights: +-0 products,
+    and the offset turns a -0.0 sum into +0.0, so the bits are those of rows
+    built afresh. The tail bound is the geometric bound on the terms past the
+    stored ones, and it is verified when it falls below tol. Times t <= 0
+    evaluate the initial line t = 0, where the damping is gone: the tail
+    bound is infinite and nothing is certified, unless the series is
+    identically zero.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     t = max(t, 0.0)
-    ts = np.array([t])
-    live = _live_modes(series, ts)
-    terms = _damped_amplitudes(series, ts, live)[0]
-    trig = np.zeros(series.n_terms, dtype=np.result_type(series._roots, x))
-    trig[:live] = _TRIG[series.trig](series._roots[:live] * x)
+    terms, live, bound = _cached_row(series._weight_rows, t, lambda: _weight_row(series, t))
+    trig, done = entry = _cached_row(
+        series._trig_rows, x, lambda: [np.zeros(series.n_terms, np.result_type(series._roots, x)), 0]
+    )
+    if done < live:  # the row of x grows to the modes live at t
+        trig[done:live] = _TRIG[series.trig](series._roots[done:live] * x)
+        entry[1] = live
     total = series.offset + float(terms @ trig)
-    bound = _beyond_stored_bound(series, t)
     return SeriesValue(total, series.n_terms, bound, bound < tol)
 
 

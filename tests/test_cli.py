@@ -301,6 +301,30 @@ def test_a_failed_solve_leaves_the_old_outputs_byte_for_byte(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize(
+    "command, names", [("solve", ["report.json", "solution.csv"]), ("verify", ["verify_report.json"])]
+)
+def test_temporaries_of_a_killed_run_are_removed_once_its_process_is_gone(
+    tmp_path, monkeypatch, command, names
+):
+    # a run killed mid-write leaves .<name>.<pid>.tmp in --out; the next run
+    # removes those of its own names whose process is gone, and keeps those
+    # of a running process (this one's parent) and other names
+    _usable_cpus(monkeypatch, 1)
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    gone, running = child.pid, os.getppid()
+    out = tmp_path / "out"
+    out.mkdir()
+    kept = [f".{name}.{running}.tmp" for name in names] + [f".other.csv.{gone}.tmp"]
+    for tmp in kept + [f".{name}.{gone}.tmp" for name in names]:
+        (out / tmp).write_text("partial")
+    cfg = _write_config(tmp_path, {**_raw("ex2"), "grid": {"M": 10, "K": 10}})
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) in (0, 1)
+    assert sorted(p.name for p in out.iterdir()) == sorted(kept + names)
+    assert all((out / tmp).read_text() == "partial" for tmp in kept)
+
+
+@pytest.mark.parametrize(
     "command, name",
     [("solve", "solution.csv"), ("solve", "report.json"), ("verify", "verify_report.json")],
 )

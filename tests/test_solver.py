@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from heatrobin import extension, solver
 from heatrobin.polyalg import Poly1, Poly2
@@ -13,7 +14,13 @@ from heatrobin.solver import (
     solve_neumann_neumann,
     solve_problem,
 )
-from heatrobin.spectral import ModalSeries, eigenvalues, evaluate_series
+from heatrobin.spectral import (
+    ModalSeries,
+    _damped_amplitudes,
+    _live_modes,
+    eigenvalues,
+    evaluate_series,
+)
 from heatrobin.verify import crank_nicolson_reference
 
 
@@ -258,3 +265,73 @@ def test_kernel_transform_closed_form():
         kernel_cosine_transform(1, 1.0, 0.0)
     with pytest.raises(ValueError, match="k must be"):
         kernel_cosine_transform(1, -1.0, 0.5)
+
+
+def _uncached_point(sol, x, t):
+    # SemiAnalyticSolution.__call__ without the factor caches: polyval2d for
+    # the polynomial part (Poly2's Horner has its bits) and both series rows
+    # built afresh, exp and trig over the live modes only
+    series = sol.modal
+    ts = np.array([max(t, 0.0)])
+    live = _live_modes(series, ts)
+    terms = _damped_amplitudes(series, ts, live)[0]
+    trig = np.zeros(series.n_terms)
+    trig[:live] = (np.cos if series.trig == "cos" else np.sin)(series._roots[:live] * x)
+    modal = series.offset + float(terms @ trig)
+    return float(npoly.polyval2d(x, t, sol.poly_part.array)) + modal
+
+
+def _dr_problem():
+    return ProblemSpec(
+        k=0.5, nu=0.8, l=1.3, T=2.0, boundary="dirichlet_robin",
+        mu0=Poly1((0.0, 1.0, -0.5), "x"), F=Poly2(((0.0,), (1.0, 2.0))), T0=Poly1((0.5, 1.0), "t"),
+    )
+
+
+@pytest.mark.parametrize("n_max", [64, 1024])
+@pytest.mark.parametrize("boundary", ["neumann_robin", "dirichlet_robin"])
+def test_cached_point_values_repeat_the_uncached_evaluator_bit_for_bit(boundary, n_max):
+    problem = _nr_problem(**EX2) if boundary == "neumann_robin" else _dr_problem()
+    rng = np.random.default_rng(n_max)
+    l, T = problem.l, problem.T
+    xs = [-0.0, 0.0, *(l * rng.uniform(0.0, 1.0, 7)).tolist(), l]
+    ts = [-0.0, 0.0, *(T * np.geomspace(1e-6, 1.0, 12)).tolist(), math.nan]
+    t_major = [(x, t) for t in ts for x in xs]
+    x_major = [(x, t) for x in xs for t in ts]
+    shuffled = [t_major[i] for i in rng.permutation(len(t_major))]
+    for order in (t_major, t_major[::-1], x_major, shuffled):
+        sol = solve_problem(problem, n_max=n_max)  # fresh caches
+        for x, t in order + order[::3]:
+            for point in ((x, t), (np.float64(x), np.float64(t))):
+                got, want = sol(*point), _uncached_point(sol, *point)
+                assert got.hex() == want.hex(), point
+
+
+def test_point_caches_hold_at_most_64_rows():
+    sol = solve_problem(_dr_problem(), n_max=256)
+    rng = np.random.default_rng(7)
+    xs, ts = rng.uniform(0.0, 1.3, 200).tolist(), rng.uniform(0.0, 2.0, 200).tolist()
+    for x, t in zip(xs, ts):
+        assert sol(x, t).hex() == _uncached_point(sol, x, t).hex()
+        caches = (sol.poly_part._columns[1], sol.modal._weight_rows, sol.modal._trig_rows)
+        assert all(0 < len(c) <= 64 for c in caches)
+
+
+def test_negative_times_are_rejected():
+    # ex3's data: at t = -0.5 the point evaluator gave the polynomial part
+    # plus the series clamped to t = 0 (-2.07), the grid nan with warnings
+    sol = solve_problem(_nr_problem((1.0, 0.0, 3.0, 1.0), ((0.0, 0.0), (0.0, 0.0), (2.0, 5.0)), (1.0, 3.0)))
+    calls = [
+        lambda t: sol(0.5, t),
+        lambda t: sol.on_grid([0.5], [0.0, t]),
+        lambda t: next(sol.row_blocks([0.5], [0.0, t])),
+        lambda t: sol.on_grid([0.5], [t + 1e-20j]),
+    ]
+    for call in calls:
+        for t in (-0.5, -1e-3):
+            with pytest.raises(ValueError, match=f"t >= 0, got t = \\(?{t!r}"):
+                call(t)
+    # -0.0 is the start line
+    assert sol(0.5, -0.0) == sol(0.5, 0.0)
+    start = sol.on_grid([0.5], [0.0]).tolist()
+    assert sol.on_grid([0.5], [-0.0]).tolist() == next(sol.row_blocks([0.5], [-0.0]))[1].tolist() == start

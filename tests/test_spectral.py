@@ -1,5 +1,5 @@
-"""Eigenvalue brackets, stable boundary trig, projections, series truncation
-and live-mode evaluation."""
+"""Eigenvalue brackets, stable boundary trig, projections, series truncation,
+live-mode evaluation and the point evaluator's factor caches."""
 
 import dataclasses
 import math
@@ -18,6 +18,7 @@ from heatrobin.spectral import (
     ModalSeries,
     SeriesValue,
     _beyond_stored_bound,
+    _damped_amplitudes,
     _live_modes,
     eigenvalues,
     evaluate_series,
@@ -630,3 +631,74 @@ def test_library_sessions_repeat_the_full_sum_bit_for_bit(perfbench, tmp_path, m
     monkeypatch.setattr(ModalSeries, "row_blocks", _full_row_blocks)
     monkeypatch.setattr(spectral, "evaluate_series_info", _full_value)
     assert [session(op) for op in ops] == got
+
+
+def _uncached_value(series, x, t, tol=1e-10):
+    # evaluate_series_info without the factor caches: both rows built afresh
+    # at every call, exp and trig over the live modes only, zeros past them
+    t = max(t, 0.0)
+    ts = np.array([t])
+    live = _live_modes(series, ts)
+    terms = _damped_amplitudes(series, ts, live)[0]
+    trig = np.zeros(series.n_terms, dtype=np.result_type(series._roots, x))
+    trig[:live] = (np.cos if series.trig == "cos" else np.sin)(series._roots[:live] * x)
+    bound = _beyond_stored_bound(series, t)
+    return SeriesValue(series.offset + float(terms @ trig), series.n_terms, bound, bound < tol)
+
+
+def _info_bits(info):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(info))
+
+
+def _fresh(series):
+    # the same series with empty caches
+    return ModalSeries(series.eigen, series.amplitudes, series.offset, series.source)
+
+
+@pytest.mark.parametrize("n_max", [64, 1024])
+@pytest.mark.parametrize(
+    "kind, source", [("neumann_robin", False), ("dirichlet_robin", False), ("neumann_neumann", True)]
+)
+def test_cached_factor_rows_repeat_the_uncached_evaluator_bit_for_bit(kind, source, n_max):
+    rng = np.random.default_rng(n_max + len(kind))
+    base = _seeded_series(rng, kind, n_max, source)
+    l = base.eigen.l
+    xs = [-0.0, 0.0, *(l * rng.uniform(0.0, 1.0, 6)).tolist(), l]
+    # the times where modes die make a cached trig row grow in place when a
+    # later point has more live modes; t < 0 shares the start line's row
+    ts = [-0.0, 0.0, -0.5, math.nan, *_death_times(base)[1:], *np.geomspace(1e-6, 10.0, 5).tolist()]
+    t_major = [(x, t) for t in ts for x in xs]
+    x_major = [(x, t) for x in xs for t in ts]
+    shuffled = [t_major[i] for i in rng.permutation(len(t_major))]
+    for order in (t_major, t_major[::-1], x_major, shuffled):
+        ser = _fresh(base)
+        for x, t in order + order[::5]:  # then repeats that hit both caches
+            for point in ((x, t), (np.float64(x), np.float64(t))):
+                got, want = evaluate_series_info(ser, *point), _uncached_value(ser, *point)
+                assert _info_bits(got) == _info_bits(want), point
+        assert 0 < len(ser._weight_rows) <= 64 and 0 < len(ser._trig_rows) <= 64
+    # a complex x is not a key: it is evaluated afresh, as before
+    ser = _fresh(base)
+    for x in (0.3 * l + 1e-30j, 0.3 * l + 0.1j):
+        with pytest.warns(np.exceptions.ComplexWarning):
+            got = evaluate_series_info(ser, x, 0.2)
+        with pytest.warns(np.exceptions.ComplexWarning):
+            want = _uncached_value(ser, x, 0.2)
+        assert _info_bits(got) == _info_bits(want)
+    assert not ser._trig_rows
+
+
+def test_factor_caches_hold_at_most_64_rows():
+    rng = np.random.default_rng(64)
+    ser = _seeded_series(rng, "dirichlet_robin", 1024)
+    points = list(zip(rng.uniform(0.0, ser.eigen.l, 200).tolist(), rng.uniform(0.0, 1.0, 200).tolist()))
+    sizes = []
+    for x, t in points:
+        got = evaluate_series_info(ser, x, t)
+        assert _info_bits(got) == _info_bits(_uncached_value(ser, x, t))
+        sizes.append((len(ser._weight_rows), len(ser._trig_rows)))
+    assert max(map(max, sizes)) == 64
+    # a full cache starts over: 200 distinct keys fill it three times
+    assert sizes[63] == (64, 64) and sizes[64] == (1, 1)
+    # other objects keep their own caches
+    assert not _fresh(ser)._weight_rows and not _fresh(ser)._trig_rows
