@@ -4,10 +4,11 @@ Exit codes; a rejection prints one line to stderr that starts with its prefix:
 - 0 success, 1 a `verify` bound failed;
 - 2 `config error`: the config cannot be read, parsed or validated;
 - 2 `parameter error`: an `eigen` argument is out of range;
-- 2 `output error`: an --out directory or output file that cannot be written
-  (checked before the work that fills it), or a failed CSV writer process.
-  Output files are written under temporary names and renamed into place
-  only when all are complete, so a failed run leaves the old ones;
+- 2 `output error`: an --out directory that cannot be made or take a
+  temporary file, or an output path that is a directory (both found before
+  the work), or a failed write or CSV writer process. The temporaries are
+  renamed over the old files, read-only ones too, only when all are
+  complete, so a failed run leaves the old ones;
 - 3 `solver error`: wrong source parity, a numerically singular matching
   system, or data that overflow a float.
 
@@ -40,6 +41,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -356,10 +358,9 @@ def _solution_grids(cfg: RunConfig):
     return xs, ts
 
 
-def _load_and_solve(config: str, out: str, *names: str):
-    """(cfg, sol, the paths of names in directory out) for a config file.
-    Rejections raise, in this order: a bad config, the solver's (exit 3),
-    and, with no file left behind, an unusable directory or file (exit 2)."""
+def _load_and_solve(config: str):
+    """(cfg, sol) for a config file; a bad config or the solver's rejection
+    (exit 3) raises."""
     cfg = load_config(config)
     try:
         # an overflow inside the solve shows as a non-finite quantity below
@@ -377,70 +378,61 @@ def _load_and_solve(config: str, out: str, *names: str):
     for name, value in sizes.items():
         if not math.isfinite(value):
             raise _Stop(3, f"solver error: {name} is non-finite ({value}): the data overflow a float")
-    try:
-        Path(out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _Stop(2, f"output error: cannot create directory {out!r}: {exc.strerror}")
-    paths = [Path(out) / name for name in names]
-    for path in paths:
-        _write(path, _check_writable, path)
-    return cfg, sol, paths
-
-
-def _check_writable(path: Path) -> None:
-    """Open path as writing it would; a file that this made is removed."""
-    made = not path.exists()
-    path.open("a").close()
-    if made:
-        path.unlink()
+    return cfg, sol
 
 
 def _write(path: Path, write, *args) -> None:
-    """write(*args) on behalf of output file path; an OSError (say, path is a
-    directory) stops the command with exit 2. The CSV writers are joined by
-    then."""
+    """write(*args) for file path; an OSError (say, path is a directory) stops
+    the command with exit 2. The CSV writers are joined by then."""
     try:
         write(*args)
     except OSError as exc:
         raise _Stop(2, f"output error: cannot write {str(path)!r}: {exc.strerror or exc}")
 
 
-def _running(pid: int) -> bool:
-    """Whether a process with this pid exists (signal 0 checks without sending)."""
+def _tmp(path: Path) -> Path:
+    """The temporary name under which this process writes output file path."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+@contextmanager
+def _outputs(out: str, *names: str):
+    """The paths of output files names in directory out, written all or
+    nothing: the body fills each path's _tmp.
+
+    Before the body: make out, remove the temporaries of these names whose
+    process is gone (killed mid-write), refuse a path that is a directory and
+    create every temporary, so an unusable directory or file exits 2 before
+    the work. After it: unlink the files after the first, then os.replace
+    each file by its temporary in order, so a new file never sits beside a
+    stale one. On the way out, remove the temporaries made here."""
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # it runs under another user
-        pass
-    return True
-
-
-def _write_all(*files) -> None:
-    """Write the output files (path, write, *args) all or nothing.
-
-    write(tmp, *args) fills a temporary name beside each path. Only when all
-    are complete do they move into place with os.replace, and the files after
-    the first are unlinked before the first is replaced, so a new file never
-    sits beside a stale one. On failure the temporaries are removed and the
-    old files stay as they were. Temporaries of these names left by a run
-    whose process is gone (killed mid-write) are removed first."""
-    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, *_ in files]
-    for path, *_ in files:
-        stale = re.compile(rf"\.{re.escape(path.name)}\.([0-9]{{1,9}})\.tmp")
-        for tmp in path.parent.glob(f".{path.name}.*.tmp"):  # the regex decides
-            match = stale.fullmatch(tmp.name)
-            if match and not _running(int(match[1])):
-                _write(path, tmp.unlink, True)
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Stop(2, f"output error: cannot create directory {out!r}: {exc.strerror}")
+    paths, made = [Path(out) / name for name in names], []
     try:
-        for (path, write, *args), tmp in zip(files, temps):
-            _write(path, write, tmp, *args)
-        for path, *_ in files[1:]:
+        for path in paths:
+            stale = re.compile(rf"\.{re.escape(path.name)}\.([0-9]{{1,9}})\.tmp")
+            found = (stale.fullmatch(tmp.name) for tmp in path.parent.glob(f".{path.name}.*.tmp"))
+            for match in filter(None, found):
+                try:  # signal 0 checks that the pid runs, sending nothing
+                    os.kill(int(match[1]), 0)
+                except ProcessLookupError:
+                    _write(path, path.with_name(match[0]).unlink, True)
+                except PermissionError:  # it runs under another user
+                    pass
+            if path.is_dir():  # os.replace would refuse it only after the work
+                raise _Stop(2, f"output error: cannot write {str(path)!r}: Is a directory")
+            _write(_tmp(path), _tmp(path).write_bytes, b"")
+            made.append(_tmp(path))
+        yield paths
+        for path in paths[1:]:
             _write(path, path.unlink, True)
-        for (path, *_), tmp in zip(files, temps):
-            _write(path, os.replace, tmp, path)
+        for path in paths:
+            _write(path, os.replace, _tmp(path), path)
     finally:
-        for tmp in temps:
+        for tmp in made:
             tmp.unlink(missing_ok=True)
 
 
@@ -454,33 +446,35 @@ def _size_bound(sol: SemiAnalyticSolution) -> float:
 
 
 def cmd_solve(config: str, out: str) -> int:
-    cfg, sol, (csv, report_path) = _load_and_solve(config, out, "solution.csv", "report.json")
-    report = _report_text(cfg, sol, residual_report(sol, t_min=cfg.t_min))
-    xs, ts = _solution_grids(cfg)
-    _write_all((csv, _write_solution_csv, sol, xs, ts), (report_path, Path.write_text, report))
+    cfg, sol = _load_and_solve(config)
+    with _outputs(out, "solution.csv", "report.json") as (csv, report_path):
+        report = _report_text(cfg, sol, residual_report(sol, t_min=cfg.t_min))
+        xs, ts = _solution_grids(cfg)
+        _write(csv, _write_solution_csv, _tmp(csv), sol, xs, ts)
+        _write(report_path, Path.write_text, _tmp(report_path), report)
     print(f"wrote {csv} and {report_path}")
     return 0
 
 
 def cmd_verify(config: str, out: str = ".") -> int:
-    cfg, sol, (report_path,) = _load_and_solve(config, out, "verify_report.json")
-    oracle = crank_nicolson_reference(cfg.problem, cfg.M, cfg.K)
-    verification = residual_report(sol, t_min=cfg.t_min, oracle=oracle)
-    rows = threshold_rows(verification, cfg.problem.boundary)
-    report = _report_text(cfg, sol, verification)
+    cfg, sol = _load_and_solve(config)
+    with _outputs(out, "verify_report.json") as (report_path,):
+        oracle = crank_nicolson_reference(cfg.problem, cfg.M, cfg.K)
+        verification = residual_report(sol, t_min=cfg.t_min, oracle=oracle)
+        rows = threshold_rows(verification, cfg.problem.boundary)
+        report = _report_text(cfg, sol, verification)
 
-    width = max(len(name) for name, *_ in rows)
-    print(f"{'check'.ljust(width)}  {'value':>13}  {'bound':>10}  status")
-    for name, value, bound, ok in rows:
-        print(f"{name.ljust(width)}  {value:13.6e}  {bound:10.1e}  {'PASS' if ok else 'FAIL'}")
-    print(f"initial_l2_error      {verification.initial_l2_error:13.6e}  (informational)")
-    print(f"compatibility_defect  {verification.compatibility_defect:+13.6e}  (informational)")
-    if verification.diagnostics:
-        print("diagnostics:")
-        for line in verification.diagnostics:
-            print(f"  - {line}")
-
-    _write_all((report_path, Path.write_text, report))
+        width = max(len(name) for name, *_ in rows)
+        print(f"{'check'.ljust(width)}  {'value':>13}  {'bound':>10}  status")
+        for name, value, bound, ok in rows:
+            print(f"{name.ljust(width)}  {value:13.6e}  {bound:10.1e}  {'PASS' if ok else 'FAIL'}")
+        print(f"initial_l2_error      {verification.initial_l2_error:13.6e}  (informational)")
+        print(f"compatibility_defect  {verification.compatibility_defect:+13.6e}  (informational)")
+        if verification.diagnostics:
+            print("diagnostics:")
+            for line in verification.diagnostics:
+                print(f"  - {line}")
+        _write(report_path, Path.write_text, _tmp(report_path), report)
     return 0 if all(ok for *_, ok in rows) else 1
 
 

@@ -139,10 +139,12 @@ class SemiAnalyticSolution:
     diagnostics: tuple[str, ...]
 
     def __call__(self, x: float, t: float, tol: float = 1e-10) -> float:
-        """The value at one point; a negative t (or real part) raises ValueError."""
+        """The value at one point. A negative t, or a complex x or t, raises
+        ValueError (on_grid takes complex arguments)."""
         if t.real < 0:
             raise ValueError(f"the solution is defined for t >= 0, got t = {t!r}")
-        return float(self.poly_part(x, t)) + evaluate_series(self.modal, x, t, tol)
+        series = evaluate_series(self.modal, x, t, tol)  # refuses a complex x or t
+        return float(self.poly_part(x, t)) + series
 
     def on_grid(self, xs, ts) -> np.ndarray:
         """Full-sum evaluation, shape (len(ts), len(xs)); complex xs or ts

@@ -195,6 +195,7 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
 
 _TRIG = {"cos": np.cos, "sin": np.sin}
 _ROW_BLOCK = 64  # time rows per block of ModalSeries.row_blocks
+_COMPLEX = (complex, np.complexfloating)
 
 
 @dataclass(frozen=True)
@@ -355,10 +356,12 @@ def evaluate_series_info(
     stored ones, and it is verified when it falls below tol. Times t <= 0
     evaluate the initial line t = 0, where the damping is gone: the tail
     bound is infinite and nothing is certified, unless the series is
-    identically zero.
+    identically zero. A complex x or t raises ValueError (the grids take them).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if isinstance(x, _COMPLEX) or isinstance(t, _COMPLEX):
+        raise ValueError(f"a point takes a real x and t, got ({x!r}, {t!r}); on_grid takes complex ones")
     t = max(t, 0.0)
     terms, live, bound = _cached_row(series._weight_rows, t, lambda: _weight_row(series, t))
     trig, done = entry = _cached_row(

@@ -286,17 +286,29 @@ def _fail_the_report(monkeypatch):
     monkeypatch.setattr(cli.Path, "write_text", write_text)
 
 
-@pytest.mark.parametrize("fail", [_fail_a_writer, _fail_the_report], ids=["writer", "report"])
-def test_a_failed_solve_leaves_the_old_outputs_byte_for_byte(tmp_path, monkeypatch, fail):
+_OUTPUTS = {"solve": ["report.json", "solution.csv"], "verify": ["verify_report.json"]}
+
+
+@pytest.mark.parametrize(
+    "command, fail",
+    [
+        pytest.param("solve", _fail_a_writer, id="writer"),
+        pytest.param("solve", _fail_the_report, id="report"),
+        pytest.param("verify", _fail_the_report, id="verify-report"),
+    ],
+)
+def test_a_failed_solve_leaves_the_old_outputs_byte_for_byte(tmp_path, monkeypatch, command, fail):
     _usable_cpus(monkeypatch, 3)
     out = tmp_path / "out"
     old = _write_config(tmp_path, {**_raw("ex2"), "grid": {"M": 10, "K": 10}}, "old.json")
-    assert cli.main(["solve", "--config", old, "--out", str(out)]) == 0
+    # the 10 x 10 verify exits 1: its oracle row fails
+    assert cli.main([command, "--config", old, "--out", str(out)]) == {"solve": 0, "verify": 1}[command]
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(before) == ["report.json", "solution.csv"]
+    assert sorted(before) == _OUTPUTS[command]
     cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
     fail(monkeypatch)
-    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    # no temporary is left either
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -324,25 +336,71 @@ def test_temporaries_of_a_killed_run_are_removed_once_its_process_is_gone(
     assert all((out / tmp).read_text() == "partial" for tmp in kept)
 
 
+_NON_ROOT = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores permission bits")
+
+
 @pytest.mark.parametrize(
-    "command, name",
-    [("solve", "solution.csv"), ("solve", "report.json"), ("verify", "verify_report.json")],
+    "command, name, blocked",
+    [
+        # an output path, or this process's temporary of one, is a directory
+        pytest.param("solve", "solution.csv", "dir", id="solve-solution.csv"),
+        pytest.param("solve", "report.json", "dir", id="solve-report.json"),
+        pytest.param("verify", "verify_report.json", "dir", id="verify-verify_report.json"),
+        pytest.param("solve", ".solution.csv.{pid}.tmp", "dir", id="solve-csv-temporary"),
+        pytest.param("solve", ".report.json.{pid}.tmp", "dir", id="solve-report-temporary"),
+        pytest.param("verify", ".verify_report.json.{pid}.tmp", "dir", id="verify-temporary"),
+        # a read-only --out that holds writable old outputs: no temporary can be made
+        pytest.param("solve", ".solution.csv.{pid}.tmp", "read-only", id="solve-read-only", marks=_NON_ROOT),
+        pytest.param(
+            "verify", ".verify_report.json.{pid}.tmp", "read-only", id="verify-read-only", marks=_NON_ROOT
+        ),
+    ],
 )
-def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, command, name):
-    # each output file is checked before the work that fills it
+def test_an_output_file_that_cannot_be_written_exits_2(
+    tmp_path, monkeypatch, capsys, command, name, blocked
+):
+    # every output path is checked and every temporary made before the work
     _usable_cpus(monkeypatch, 3)
     monkeypatch.setattr(cli, "_write_solution_csv", lambda *a: pytest.fail("CSV writers ran"))
     monkeypatch.setattr(cli, "residual_report", lambda *a, **k: pytest.fail("probed"))
     monkeypatch.setattr(cli, "crank_nicolson_reference", lambda *a, **k: pytest.fail("oracle ran"))
     cfg = _write_config(tmp_path, {**_raw("ex3"), "grid": {"M": 30, "K": 200}})
     out = tmp_path / "out"
-    (out / name).mkdir(parents=True)
-    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    out.mkdir()
+    name = name.format(pid=os.getpid())
+    if blocked == "dir":
+        (out / name).mkdir()
+    else:
+        for old in _OUTPUTS[command]:
+            (out / old).write_text(f"old {old}")
+        out.chmod(0o555)
+    before = {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()}
+    try:
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    finally:
+        out.chmod(0o755)
     err = capsys.readouterr().err
-    assert err == f"output error: cannot write {str(out / name)!r}: Is a directory\n"
+    strerror = "Is a directory" if blocked == "dir" else "Permission denied"
+    assert err == f"output error: cannot write {str(out / name)!r}: {strerror}\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert [p.name for p in out.iterdir()] == [name]
+    assert {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()} == before
+
+
+@_NON_ROOT
+def test_a_read_only_old_output_is_replaced(tmp_path, monkeypatch):
+    # os.replace needs a writable directory, not a writable old file
+    _usable_cpus(monkeypatch, 1)
+    cfg = _write_config(tmp_path, {**_raw("ex2"), "grid": {"M": 10, "K": 10}})
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg, "--out", str(fresh)]) == 0
+    out.mkdir()
+    (out / "solution.csv").write_text("old")
+    (out / "solution.csv").chmod(0o444)
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in fresh.iterdir()
+    }
 
 
 def test_solve_memory_does_not_grow_with_k(tmp_path):

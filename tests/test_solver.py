@@ -317,6 +317,15 @@ def test_point_caches_hold_at_most_64_rows():
         assert all(0 < len(c) <= 64 for c in caches)
 
 
+def test_a_complex_point_is_rejected():
+    # a point value is real; the complex continuation is on_grid's
+    sol = solve_problem(_dr_problem())
+    for x, t in ((0.5 + 0.1j, 0.2), (0.5 + 0j, 0.2), (0.5, 0.2 + 1e-20j), (np.complex128(0.5), 0.2)):
+        with pytest.raises(ValueError, match="real x and t.*on_grid"):
+            sol(x, t)
+    assert sol.on_grid([0.5 + 0.1j], [0.2]).dtype == complex
+
+
 def test_negative_times_are_rejected():
     # ex3's data: at t = -0.5 the point evaluator gave the polynomial part
     # plus the series clamped to t = 0 (-2.07), the grid nan with warnings

@@ -677,15 +677,13 @@ def test_cached_factor_rows_repeat_the_uncached_evaluator_bit_for_bit(kind, sour
                 got, want = evaluate_series_info(ser, *point), _uncached_value(ser, *point)
                 assert _info_bits(got) == _info_bits(want), point
         assert 0 < len(ser._weight_rows) <= 64 and 0 < len(ser._trig_rows) <= 64
-    # a complex x is not a key: it is evaluated afresh, as before
+    # a complex x or t is refused before any row is made: the grids take them
     ser = _fresh(base)
-    for x in (0.3 * l + 1e-30j, 0.3 * l + 0.1j):
-        with pytest.warns(np.exceptions.ComplexWarning):
-            got = evaluate_series_info(ser, x, 0.2)
-        with pytest.warns(np.exceptions.ComplexWarning):
-            want = _uncached_value(ser, x, 0.2)
-        assert _info_bits(got) == _info_bits(want)
-    assert not ser._trig_rows
+    x0 = 0.3 * l
+    for x, t in ((x0 + 1e-30j, 0.2), (x0 + 0.1j, 0.2), (x0, 0.2 + 0j), (x0, np.complex64(0.2))):
+        with pytest.raises(ValueError, match="on_grid"):
+            evaluate_series_info(ser, x, t)
+    assert not ser._trig_rows and not ser._weight_rows
 
 
 def test_factor_caches_hold_at_most_64_rows():
