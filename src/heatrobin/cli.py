@@ -5,10 +5,10 @@ Exit codes; a rejection prints one line to stderr that starts with its prefix:
 - 2 `config error`: the config cannot be read, parsed or validated;
 - 2 `parameter error`: an `eigen` argument is out of range;
 - 2 `output error`: an --out directory that cannot be made or take a
-  temporary file, or an output path that is a directory (both found before
-  the work), or a failed write or CSV writer process. The temporaries are
-  renamed over the old files, read-only ones too, only when all are
-  complete, so a failed run leaves the old ones;
+  temporary file, an output path that is a directory or another user's file
+  in a sticky --out (all found before the work), or a failed write or CSV
+  writer process. The temporaries are renamed over the old files, read-only
+  ones too, only when all are complete, so a failed run leaves the old ones;
 - 3 `solver error`: wrong source parity, a numerically singular matching
   system, or data that overflow a float.
 
@@ -40,6 +40,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -395,17 +396,26 @@ def _tmp(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
+def _theirs(path: Path) -> bool:
+    """Whether a sticky directory keeps this process from unlinking or
+    renaming over path: only root and the file's or directory's owner may."""
+    folder = path.parent.stat()
+    if folder.st_mode & stat.S_ISVTX and os.path.lexists(path):
+        return os.geteuid() not in (0, path.lstat().st_uid, folder.st_uid)
+    return False
+
+
 @contextmanager
 def _outputs(out: str, *names: str):
     """The paths of output files names in directory out, written all or
     nothing: the body fills each path's _tmp.
 
-    Before the body: make out, remove the temporaries of these names whose
-    process is gone (killed mid-write), refuse a path that is a directory and
-    create every temporary, so an unusable directory or file exits 2 before
-    the work. After it: unlink the files after the first, then os.replace
-    each file by its temporary in order, so a new file never sits beside a
-    stale one. On the way out, remove the temporaries made here."""
+    Before the body: make out, sweep the temporaries of these names whose
+    process is gone (killed mid-write) unless _theirs, refuse a path that is a
+    directory or _theirs, and create every temporary: an unusable directory or
+    file exits 2 before the work. After it: unlink the files after the first,
+    then os.replace each file by its temporary in order, so a new file never
+    sits beside a stale one. On the way out, remove those made here."""
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -419,11 +429,14 @@ def _outputs(out: str, *names: str):
                 try:  # signal 0 checks that the pid runs, sending nothing
                     os.kill(int(match[1]), 0)
                 except ProcessLookupError:
-                    _write(path, path.with_name(match[0]).unlink, True)
+                    if not _theirs(path.with_name(match[0])):
+                        _write(path, path.with_name(match[0]).unlink, True)
                 except PermissionError:  # it runs under another user
                     pass
             if path.is_dir():  # os.replace would refuse it only after the work
                 raise _Stop(2, f"output error: cannot write {str(path)!r}: Is a directory")
+            if _theirs(path):  # as it would another user's file in a sticky out
+                raise _Stop(2, f"output error: cannot write {str(path)!r}: Operation not permitted")
             _write(_tmp(path), _tmp(path).write_bytes, b"")
             made.append(_tmp(path))
         yield paths

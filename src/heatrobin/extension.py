@@ -129,7 +129,7 @@ def evolve_profile(profile: ExtensionProfile, k: float) -> Poly2:
     u(x,0) = mu(x). Only even x powers occur for parity 'even', so
     du/dx(0,t) = 0 identically; only odd ones for 'odd', so u(0,t) = 0.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError("k must be positive")
     off, a = _parity_offset(profile.parity), list(profile.coeffs)
     while a and a[-1] == 0.0:
@@ -169,7 +169,7 @@ def duhamel_poly(F: Poly2, k: float, parity: str) -> Poly2:
     * t**(m+j+1), with Beta-weight m! j! / (m+j+1)! from the exact s-integral.
     Satisfies u_p(x,0) = 0 and d/dt u_p - k d2/dx2 u_p = F coefficient-wise.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError("k must be positive")
     _check_parity(F, parity)
     if F.is_zero():
@@ -192,7 +192,7 @@ def robin_trace(P: Poly2, k: float, nu: float, l: float) -> Poly1:
     """The Robin boundary combination P(l,t) + (k/nu) * dP/dx(l,t) as a
     polynomial in t. For P = evolve_profile(profile) its constant term is
     mu(l) + (k/nu) * mu'(l)."""
-    if k <= 0 or nu <= 0 or l <= 0:
+    if not (k > 0 and nu > 0 and l > 0):
         raise ValueError("k, nu, l must be positive")
     return P.at_x(l) + (k / nu) * P.dx().at_x(l)
 
@@ -211,7 +211,7 @@ def build_coefficient_system(
     if N < 0:
         raise ValueError("N must be nonnegative")
     off = _parity_offset(parity)
-    if k <= 0 or nu <= 0 or l <= 0:
+    if not (k > 0 and nu > 0 and l > 0):
         raise ValueError("k, nu, l must be positive")
     mat = np.zeros((N + 1, N + 1))
     for i in range(N + 1):

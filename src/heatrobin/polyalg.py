@@ -273,7 +273,7 @@ def trig_poly_integral(
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if np.any(np.asarray(sigma) <= 0) or l <= 0:
+    if not (np.all(np.asarray(sigma) > 0) and l > 0):
         raise ValueError("sigma and l must be positive")
     if sin_l is None:
         sin_l = np.sin(sigma * l)

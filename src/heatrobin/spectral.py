@@ -169,7 +169,7 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if k <= 0 or nu <= 0 or l <= 0:
+    if not (k > 0 and nu > 0 and l > 0):
         raise ValueError("k, nu, l must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -198,6 +198,15 @@ _ROW_BLOCK = 64  # time rows per block of ModalSeries.row_blocks
 _COMPLEX = (complex, np.complexfloating)
 
 
+def _times(ts) -> np.ndarray:
+    """ts as a grid axis; the first negative time (or real part) raises ValueError."""
+    ts = grid_axis(ts)
+    negative = ts[ts.real < 0]
+    if negative.size:
+        raise ValueError(f"the solution is defined for t >= 0, got t = {negative[0].item()!r}")
+    return ts
+
+
 @dataclass(frozen=True)
 class ModalSeries:
     """Truncated series sum_n w_n(t) * trig(sigma_n x) plus a constant offset,
@@ -210,10 +219,11 @@ class ModalSeries:
     correction series. The evaluators use arrays of the roots, rates lam,
     amplitudes and source, and the envelope max|a|, built once per series and
     read-only; they are not fields, so ==, hash and repr see the tuples only.
-    They sum every stored term but take exp and trig for the live modes only
-    (_live_modes), zero-filling the rest: the sums keep their bits. Point
-    evaluation caches its factor rows per finite float t and x, 64 per cache
-    (see evaluate_series_info); the caches are not fields either."""
+    They sum every stored term but take exp (and the grids trig) for the live
+    modes only (_live_modes), zero-filling the rest: the sums keep their bits.
+    Point evaluation caches its factor rows per finite float t and x, 64 per
+    cache (see evaluate_series_info); the caches are not fields either. Each
+    evaluator raises ValueError for a negative time (or real part)."""
 
     eigen: EigenSystem
     amplitudes: tuple[float, ...]
@@ -251,8 +261,7 @@ class ModalSeries:
         the blocks' rows. All stored terms are summed (no tolerance
         truncation). Complex xs or ts give a complex result.
         """
-        xs = grid_axis(xs)
-        ts = grid_axis(ts)
+        xs, ts = grid_axis(xs), grid_axis(ts)
         out = np.empty((ts.size, xs.size), dtype=np.result_type(xs, ts))
         for s, block in self.row_blocks(xs, ts):
             out[s : s + len(block)] = block
@@ -265,8 +274,7 @@ class ModalSeries:
         64 * (len(xs) + n_terms) values, so memory does not grow with len(ts).
         Its rows are zero past the modes live at min(ts), so the product still
         runs over every stored term and sums the same non-zero products."""
-        xs = grid_axis(xs)
-        ts = grid_axis(ts)
+        xs, ts = grid_axis(xs), _times(ts)
         live = _live_modes(self, ts)
         tmat = np.zeros((self.n_terms, xs.size), dtype=np.result_type(self._roots, xs))
         tmat[:live] = _TRIG[self.trig](np.outer(self._roots[:live], xs))  # (n, nx)
@@ -279,7 +287,7 @@ class ModalSeries:
 def _live_modes(series: ModalSeries, ts: np.ndarray) -> int:
     """The number L of leading modes to evaluate at the times ts: the rates
     increase, so past L every lam_n t > 745.14, where exp gives exactly 0.0.
-    All modes with a source, for empty ts, or if min Re(ts) is <= 0 or NaN."""
+    All modes with a source, for empty ts, or if min Re(ts) is 0 or NaN."""
     t0 = ts.real.min() if ts.size else 0.0
     if series.source or not t0 > 0.0:
         return series.n_terms
@@ -300,11 +308,10 @@ def _damped_amplitudes(series: ModalSeries, ts: np.ndarray, live: int) -> np.nda
     return out
 
 
-def _weight_row(series: ModalSeries, t: float) -> tuple[np.ndarray, int, float]:
-    """(w_n(t), zero past the live modes; the live count; the tail bound) at t."""
-    ts = np.array([t])
-    live = _live_modes(series, ts)
-    return _damped_amplitudes(series, ts, live)[0], live, _beyond_stored_bound(series, t)
+def _weight_row(series: ModalSeries, t: float) -> tuple[np.ndarray, float]:
+    """(w_n(t), zero past the live modes; the tail bound) at t; t < 0 raises."""
+    ts = _times([t])
+    return _damped_amplitudes(series, ts, _live_modes(series, ts))[0], _beyond_stored_bound(series, t)
 
 
 @dataclass(frozen=True)
@@ -347,31 +354,23 @@ def evaluate_series_info(
 
     The value is offset + weights(t) @ trig(x) over every stored term, as in
     ModalSeries.grid: the weight row, with the tail bound, is zero past the
-    modes live at t, and the trig row past the modes computed so far for x.
-    For finite float t and x both rows are kept on the series, 64 per cache
-    (a full cache is cleared); a kept trig row grows in place when a later t
-    has more live modes, and its extra modes meet zero weights: +-0 products,
-    and the offset turns a -0.0 sum into +0.0, so the bits are those of rows
-    built afresh. The tail bound is the geometric bound on the terms past the
-    stored ones, and it is verified when it falls below tol. Times t <= 0
-    evaluate the initial line t = 0, where the damping is gone: the tail
-    bound is infinite and nothing is certified, unless the series is
-    identically zero. A complex x or t raises ValueError (the grids take them).
+    modes live at t, and the trig row is whole. Its modes past the live ones
+    meet zero weights: +-0 products, and the offset turns a -0.0 sum into
+    +0.0, so the bits are those of a trig row cut to the live modes. Both rows
+    are kept on the series for finite float t and x, 64 per cache (a full
+    cache is cleared). The tail bound is the geometric bound on the terms past
+    the stored ones, and it is verified when it falls below tol. At t = 0 the
+    damping is gone: the bound is infinite and nothing is certified, unless
+    the series is identically zero. A negative t, or a complex x or t, raises
+    ValueError (the grids take complex ones).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if isinstance(x, _COMPLEX) or isinstance(t, _COMPLEX):
         raise ValueError(f"a point takes a real x and t, got ({x!r}, {t!r}); on_grid takes complex ones")
-    t = max(t, 0.0)
-    terms, live, bound = _cached_row(series._weight_rows, t, lambda: _weight_row(series, t))
-    trig, done = entry = _cached_row(
-        series._trig_rows, x, lambda: [np.zeros(series.n_terms, np.result_type(series._roots, x)), 0]
-    )
-    if done < live:  # the row of x grows to the modes live at t
-        trig[done:live] = _TRIG[series.trig](series._roots[done:live] * x)
-        entry[1] = live
-    total = series.offset + float(terms @ trig)
-    return SeriesValue(total, series.n_terms, bound, bound < tol)
+    terms, bound = _cached_row(series._weight_rows, t, lambda: _weight_row(series, t))
+    trig = _cached_row(series._trig_rows, x, lambda: _TRIG[series.trig](series._roots * x))
+    return SeriesValue(series.offset + float(terms @ trig), series.n_terms, bound, bound < tol)
 
 
 def evaluate_series(series: ModalSeries, x: float, t: float, tol: float = 1e-10) -> float:

@@ -351,7 +351,7 @@ def kernel_cosine_transform_quadrature(n: int, k: float, t: float) -> float:
     """Quadrature twin of the closed-form kernel transform: integrates
     cos(n pi y) against the heat kernel of variance 2kt by reducing to the
     Gaussian cosine transform at omega = n pi sqrt(4kt)."""
-    if t <= 0 or k <= 0:
+    if not (t > 0 and k > 0):
         raise ValueError("k and t must be positive")
     return gaussian_cosine_transform(n * math.pi * math.sqrt(4.0 * k * t))
 

@@ -336,6 +336,25 @@ def test_temporaries_of_a_killed_run_are_removed_once_its_process_is_gone(
     assert all((out / tmp).read_text() == "partial" for tmp in kept)
 
 
+def test_a_dead_temporary_of_another_user_in_a_sticky_directory_is_kept(tmp_path, monkeypatch):
+    # a sticky --out keeps another user's files from being unlinked: the
+    # sweep passes over their dead temporaries instead of failing the run
+    _usable_cpus(monkeypatch, 1)
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    out = tmp_path / "out"
+    out.mkdir()
+    out.chmod(0o1777)
+    theirs = [f".{name}.{child.pid}.tmp" for name in _OUTPUTS["solve"]]
+    for tmp in theirs:
+        (out / tmp).write_text("partial")
+    monkeypatch.setattr(os, "geteuid", lambda: out.stat().st_uid + 1)
+    cfg = _write_config(tmp_path, {**_raw("ex2"), "grid": {"M": 10, "K": 10}})
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(theirs + _OUTPUTS["solve"])
+    assert all((out / tmp).read_text() == "partial" for tmp in theirs)
+
+
 _NON_ROOT = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores permission bits")
 
 
@@ -354,6 +373,10 @@ _NON_ROOT = pytest.mark.skipif(os.geteuid() == 0, reason="root ignores permissio
         pytest.param(
             "verify", ".verify_report.json.{pid}.tmp", "read-only", id="verify-read-only", marks=_NON_ROOT
         ),
+        # a sticky --out whose old outputs belong to another user: os.replace
+        # would fail with EPERM (this process plays a user that owns neither)
+        pytest.param("solve", "solution.csv", "sticky", id="solve-sticky"),
+        pytest.param("verify", "verify_report.json", "sticky", id="verify-sticky"),
     ],
 )
 def test_an_output_file_that_cannot_be_written_exits_2(
@@ -373,14 +396,18 @@ def test_an_output_file_that_cannot_be_written_exits_2(
     else:
         for old in _OUTPUTS[command]:
             (out / old).write_text(f"old {old}")
-        out.chmod(0o555)
+        out.chmod(0o555 if blocked == "read-only" else 0o1777)
+    if blocked == "sticky":
+        monkeypatch.setattr(os, "geteuid", lambda: out.stat().st_uid + 1)
     before = {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()}
     try:
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     finally:
         out.chmod(0o755)
     err = capsys.readouterr().err
-    strerror = "Is a directory" if blocked == "dir" else "Permission denied"
+    strerror = {
+        "dir": "Is a directory", "read-only": "Permission denied", "sticky": "Operation not permitted"
+    }[blocked]
     assert err == f"output error: cannot write {str(out / name)!r}: {strerror}\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -3,6 +3,8 @@ live-mode evaluation and the point evaluator's factor caches."""
 
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -279,8 +281,9 @@ def test_series_at_start_line_sums_everything():
     assert info.terms_used == 5
     assert not info.tail_verified
     assert math.isinf(info.tail_bound)
-    # times before the start line evaluate the start line, undamped
-    assert evaluate_series_info(ser, 0.2, -1e-3) == info
+    # times before the start line are refused, as by the grids
+    with pytest.raises(ValueError, match="t >= 0, got t = -0.001"):
+        evaluate_series_info(ser, 0.2, -1e-3)
     zero = ModalSeries(eig, (0.0,) * 5, offset=0.7)
     zinfo = evaluate_series_info(zero, 0.2, 0.0)
     assert zinfo.value == 0.7
@@ -533,7 +536,6 @@ def _full_row_blocks(series, xs, ts):
 
 def _full_value(series, x, t, tol=1e-10):
     # evaluate_series_info with the exp and trig of every stored mode
-    t = max(t, 0.0)
     terms = _full_weights(series, np.array([t]))[0]
     trig = (np.cos if series.trig == "cos" else np.sin)(series._roots * x)
     bound = _beyond_stored_bound(series, t)
@@ -581,10 +583,12 @@ def test_live_modes_repeat_the_full_sum_bit_for_bit(kind, source, n_max):
             grid = ser.grid(x_axis, t_axis)
             assert grid.shape == (len(t_axis), len(x_axis))
             assert grid.tobytes() == b"".join(b for _, b in want)
-    for t in deaths.tolist() + [-1.0, 1e-6, 0.3]:
+    for t in deaths.tolist() + [1e-6, 0.3]:
         for x in (0.0, 0.37 * l, l):
             got, want = evaluate_series_info(ser, x, t), _full_value(ser, x, t)
             assert got == want and got.value.hex() == want.value.hex(), (x, t)
+    with pytest.raises(ValueError, match="t >= 0, got t = -1.0"):
+        evaluate_series_info(ser, 0.0, -1.0)
 
 
 def test_every_dropped_mode_has_a_zero_damping_factor():
@@ -612,6 +616,32 @@ def test_every_dropped_mode_has_a_zero_damping_factor():
     assert _live_modes(ser, grid_axis([1.0])) < 64
 
 
+@pytest.mark.parametrize("kind, source", [(k, False) for k in KINDS] + [("neumann_neumann", True)])
+def test_every_evaluator_refuses_a_negative_time(kind, source):
+    # one rule for the point and the grids, with the solution's message and
+    # no RuntimeWarning on the way (the grid gave nan with two of them, the
+    # point evaluator the start line's value)
+    ser = _seeded_series(np.random.default_rng(24), kind, 64, source)
+    x = 0.5 * ser.eigen.l
+    calls = [
+        lambda t: evaluate_series_info(ser, x, t),
+        lambda t: evaluate_series(ser, x, t),
+        lambda t: ser.grid([x], [0.0, t]),
+        lambda t: next(ser.row_blocks([x], [0.0, t])),
+        lambda t: ser.grid([x], [t + 1e-20j]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            for t in (-0.1, -1e-300, -math.inf):
+                message = rf"the solution is defined for t >= 0, got t = \(?{re.escape(repr(t))}"
+                with pytest.raises(ValueError, match=message):
+                    call(t)
+        # -0.0 is the start line
+        assert evaluate_series_info(ser, x, -0.0) == evaluate_series_info(ser, x, 0.0)
+        assert ser.grid([x], [-0.0]).tolist() == ser.grid([x], [0.0]).tolist()
+
+
 def test_library_sessions_repeat_the_full_sum_bit_for_bit(perfbench, tmp_path, monkeypatch):
     # the seed-0 library_spectral sessions' probe reports and lattice values
     gen, _ = perfbench
@@ -636,7 +666,6 @@ def test_library_sessions_repeat_the_full_sum_bit_for_bit(perfbench, tmp_path, m
 def _uncached_value(series, x, t, tol=1e-10):
     # evaluate_series_info without the factor caches: both rows built afresh
     # at every call, exp and trig over the live modes only, zeros past them
-    t = max(t, 0.0)
     ts = np.array([t])
     live = _live_modes(series, ts)
     terms = _damped_amplitudes(series, ts, live)[0]
@@ -664,9 +693,9 @@ def test_cached_factor_rows_repeat_the_uncached_evaluator_bit_for_bit(kind, sour
     base = _seeded_series(rng, kind, n_max, source)
     l = base.eigen.l
     xs = [-0.0, 0.0, *(l * rng.uniform(0.0, 1.0, 6)).tolist(), l]
-    # the times where modes die make a cached trig row grow in place when a
-    # later point has more live modes; t < 0 shares the start line's row
-    ts = [-0.0, 0.0, -0.5, math.nan, *_death_times(base)[1:], *np.geomspace(1e-6, 10.0, 5).tolist()]
+    # the times where modes die: one whole cached trig row meets weight rows
+    # that are zero past different live counts
+    ts = [-0.0, 0.0, math.nan, *_death_times(base)[1:], *np.geomspace(1e-6, 10.0, 5).tolist()]
     t_major = [(x, t) for t in ts for x in xs]
     x_major = [(x, t) for x in xs for t in ts]
     shuffled = [t_major[i] for i in rng.permutation(len(t_major))]
@@ -677,6 +706,12 @@ def test_cached_factor_rows_repeat_the_uncached_evaluator_bit_for_bit(kind, sour
                 got, want = evaluate_series_info(ser, *point), _uncached_value(ser, *point)
                 assert _info_bits(got) == _info_bits(want), point
         assert 0 < len(ser._weight_rows) <= 64 and 0 < len(ser._trig_rows) <= 64
+    # a negative time is refused before any row is made
+    ser = _fresh(base)
+    for t in (-0.5, np.float64(-0.5)):
+        with pytest.raises(ValueError, match="t >= 0, got t = -0.5"):
+            evaluate_series_info(ser, 0.3 * l, t)
+    assert not ser._trig_rows and not ser._weight_rows
     # a complex x or t is refused before any row is made: the grids take them
     ser = _fresh(base)
     x0 = 0.3 * l
