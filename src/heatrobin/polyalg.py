@@ -26,6 +26,13 @@ __all__ = [
 ]
 
 
+def _positive(names: str, *values) -> None:
+    """The library's parameter rule: every value is in (0, inf), NaN never is."""
+    for v in values:
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{names} must be positive")
+
+
 def grid_axis(values) -> np.ndarray:
     """Grid coordinates as a float array, or a complex one if they are complex."""
     return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
@@ -273,7 +280,7 @@ def trig_poly_integral(
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if not (np.all(np.asarray(sigma) > 0) and l > 0):
+    if not (np.all((np.asarray(sigma) > 0) & np.isfinite(sigma)) and 0.0 < l < math.inf):
         raise ValueError("sigma and l must be positive")
     if sin_l is None:
         sin_l = np.sin(sigma * l)

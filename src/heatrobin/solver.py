@@ -42,7 +42,7 @@ from .extension import (
     matrix_discrepancy_report,
     robin_trace,
 )
-from .polyalg import Poly1, Poly2, grid_axis
+from .polyalg import Poly1, Poly2, _positive, grid_axis
 from .spectral import KINDS as BOUNDARY_KINDS
 from .spectral import ModalSeries, eigenvalues, evaluate_series, fourier_coeffs
 
@@ -120,7 +120,8 @@ class SemiAnalyticSolution:
 
     The polynomial part solves the forced equation coefficient-exactly on its
     own and the series (with a zero `offset`) carries the initial mismatch.
-    The corner defect is problem.compatibility_defect().
+    The corner defect is problem.compatibility_defect(). Every evaluator
+    raises ValueError for a negative, NaN or infinite time (or real part).
     """
 
     poly_part: Poly2
@@ -130,21 +131,18 @@ class SemiAnalyticSolution:
     diagnostics: tuple[str, ...]
 
     def __call__(self, x: float, t: float, tol: float = 1e-10) -> float:
-        """The value at one point. A negative t, or a complex x or t, raises
-        ValueError (on_grid takes complex arguments)."""
+        """The value at one point; a complex x or t raises ValueError (on_grid takes them)."""
         return evaluate_series(self.modal, x, t, tol) + float(self.poly_part(x, t))
 
     def on_grid(self, xs, ts) -> np.ndarray:
         """Full-sum evaluation, shape (len(ts), len(xs)); complex xs or ts
-        give the complex-analytic continuation. A negative time (or real
-        part) raises ValueError, from the modal grid."""
+        give the complex-analytic continuation."""
         return self.modal.grid(xs, ts) + self.poly_part.grid(xs, ts)
 
     def row_blocks(self, xs, ts):
         """Yield (start, block), block being rows start to start + 63 of
-        on_grid(xs, ts) in ModalSeries.row_blocks' blocks; for real xs and ts
-        they equal on_grid's rows bit for bit. A negative time (or real part)
-        raises ValueError once the iteration starts."""
+        on_grid(xs, ts) in ModalSeries.row_blocks' blocks, bit for bit its rows
+        for real xs and ts; the time check runs once the iteration starts."""
         ts = grid_axis(ts)
         for s, block in self.modal.row_blocks(xs, ts):
             yield s, self.poly_part.grid(xs, ts[s : s + len(block)]) + block
@@ -198,17 +196,15 @@ def solve_neumann_neumann(f: Poly1, mu0: Poly1, k: float, n_max: int = 64) -> Mo
     u_x(0,t) = u_x(1,t) = 0 and u(x,0) = mu0(x), as the neumann_neumann
     ModalSeries: mu0 projects onto its amplitudes and the static source f
     onto its source-memory amplitudes (both Poly1 in x, projected exactly)."""
+    _positive("k", k)
     eigen = eigenvalues("neumann_neumann", k, 1.0, 1.0, n_max)
-    amplitudes = tuple(fourier_coeffs(eigen, mu0))
-    return ModalSeries(eigen, amplitudes, source=tuple(fourier_coeffs(eigen, f)))
+    return ModalSeries(eigen, tuple(fourier_coeffs(eigen, mu0)), source=tuple(fourier_coeffs(eigen, f)))
 
 
 def kernel_cosine_transform(n: int, k: float, t: float) -> float:
     """Closed form of the heat-kernel cosine transform:
     integral of cos(n pi y) * (4 pi k t)^(-1/2) * exp(-y^2 / (4kt)) over the
     line equals exp(-n^2 pi^2 k t)."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if not k > 0:
-        raise ValueError("k must be positive")
+    _positive("t", t)
+    _positive("k", k)
     return math.exp(-((n * math.pi) ** 2) * k * t)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import Poly1, _cached_row, grid_axis, trig_poly_integral
+from .polyalg import Poly1, _cached_row, _positive, grid_axis, trig_poly_integral
 
 __all__ = [
     "EigenSystem",
@@ -169,8 +169,7 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not (k > 0 and nu > 0 and l > 0):
-        raise ValueError("k, nu, l must be positive")
+    _positive("k, nu, l", k, nu, l)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     shift = _shift(kind)
@@ -199,11 +198,11 @@ _COMPLEX = (complex, np.complexfloating)
 
 
 def _times(ts) -> np.ndarray:
-    """ts as a grid axis; the first negative time (or real part) raises ValueError."""
+    """ts as a grid axis; a negative, NaN or infinite time (or real part) raises ValueError."""
     ts = grid_axis(ts)
-    negative = ts[ts.real < 0]
-    if negative.size:
-        raise ValueError(f"the solution is defined for t >= 0, got t = {negative[0].item()!r}")
+    bad = ts[~((0 <= ts.real) & (ts.real < math.inf))]
+    if bad.size:
+        raise ValueError(f"the solution is defined for t >= 0, got t = {bad[0].item()!r}")
     return ts
 
 
@@ -223,7 +222,7 @@ class ModalSeries:
     modes only (_live_modes), zero-filling the rest: the sums keep their bits.
     Point evaluation caches its factor rows per finite float t and x, 64 per
     cache (see evaluate_series_info); the caches are not fields either. Each
-    evaluator raises ValueError for a negative time (or real part)."""
+    evaluator raises ValueError for a time that is negative, NaN or infinite."""
 
     eigen: EigenSystem
     amplitudes: tuple[float, ...]
@@ -287,7 +286,7 @@ class ModalSeries:
 def _live_modes(series: ModalSeries, ts: np.ndarray) -> int:
     """The number L of leading modes to evaluate at the times ts: the rates
     increase, so past L every lam_n t > 745.14, where exp gives exactly 0.0.
-    All modes with a source, for empty ts, or if min Re(ts) is 0 or NaN."""
+    All modes with a source, for empty ts, or if min Re(ts) is 0."""
     t0 = ts.real.min() if ts.size else 0.0
     if series.source or not t0 > 0.0:
         return series.n_terms
@@ -309,7 +308,7 @@ def _damped_amplitudes(series: ModalSeries, ts: np.ndarray, live: int) -> np.nda
 
 
 def _weight_row(series: ModalSeries, t: float) -> tuple[np.ndarray, float]:
-    """(w_n(t), zero past the live modes; the tail bound) at t; t < 0 raises."""
+    """(w_n(t), zero past the live modes; the tail bound) at t, which _times checks."""
     ts = _times([t])
     return _damped_amplitudes(series, ts, _live_modes(series, ts))[0], _beyond_stored_bound(series, t)
 
@@ -329,13 +328,12 @@ def _beyond_stored_bound(series: ModalSeries, t: float) -> float:
     """Geometric bound on the tail past the stored terms, using the bracket
     lower edges sigma_n >= (m_n - shift) * pi / l and the largest stored
     amplitude as envelope. A non-zero source does not decay, so its tail is
-    never bounded."""
-    eig = series.eigen
+    never bounded; nor is any tail at t = 0, where the ratio is 1."""
+    eig, env = series.eigen, series._envelope
     if any(series.source):
         return math.inf
-    env = series._envelope
-    if env == 0.0 or t <= 0.0:
-        return 0.0 if env == 0.0 else math.inf
+    if env == 0.0:
+        return 0.0
     step = math.pi / eig.l
     nxt = eig.indices[-1] + 1
     lo = (nxt - eig.shift) * step
@@ -361,11 +359,10 @@ def evaluate_series_info(
     cache is cleared). The tail bound is the geometric bound on the terms past
     the stored ones, and it is verified when it falls below tol. At t = 0 the
     damping is gone: the bound is infinite and nothing is certified, unless
-    the series is identically zero. A negative t, or a complex x or t, raises
-    ValueError (the grids take complex ones).
+    the series is identically zero. A negative, NaN or infinite t or tol, a
+    zero tol, or a complex x or t raises ValueError (the grids take complex ones).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _positive("tol", tol)
     if isinstance(x, _COMPLEX) or isinstance(t, _COMPLEX):
         raise ValueError(f"a point takes a real x and t, got ({x!r}, {t!r}); on_grid takes complex ones")
     terms, bound = _cached_row(series._weight_rows, t, lambda: _weight_row(series, t))

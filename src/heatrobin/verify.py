@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .polyalg import _positive
 from .solver import ProblemSpec, SemiAnalyticSolution, solve_neumann_neumann
 
 __all__ = [
@@ -246,9 +247,9 @@ def residual_report(
     sol: SemiAnalyticSolution, *, t_min: float = 0.01, oracle: GridSolution | None = None
 ) -> VerificationReport:
     """Residuals of the interior equation and both boundary conditions of
-    sol.problem on a 41 x 41 grid of [0,l] x [t_min,T], the exact L2 size of
-    the initial mismatch, and an optional comparison against a reference
-    grid.
+    sol.problem on a 41 x 41 grid of [0,l] x [t_min,T], 0 <= t_min <= T, the
+    exact L2 size of the initial mismatch, and an optional comparison against
+    a reference grid.
 
     Every derivative is taken by complex step (Squire & Trapp, SIAM Rev.
     40, 1998), evaluating the solution off the real axis:
@@ -269,6 +270,8 @@ def residual_report(
     """
     problem = sol.problem
     k, nu, l, T = problem.k, problem.nu, problem.l, problem.T
+    if not 0.0 <= t_min <= T:
+        raise ValueError(f"t_min must lie in [0, T] = [0, {T!r}], got {t_min!r}")
     xs = np.linspace(0.0, l, _PROBE_POINTS)
     ts = np.linspace(t_min, T, _PROBE_POINTS)
 
@@ -351,8 +354,7 @@ def kernel_cosine_transform_quadrature(n: int, k: float, t: float) -> float:
     """Quadrature twin of the closed-form kernel transform: integrates
     cos(n pi y) against the heat kernel of variance 2kt by reducing to the
     Gaussian cosine transform at omega = n pi sqrt(4kt)."""
-    if not (t > 0 and k > 0):
-        raise ValueError("k and t must be positive")
+    _positive("k and t", t, k)
     return gaussian_cosine_transform(n * math.pi * math.sqrt(4.0 * k * t))
 
 

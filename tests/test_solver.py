@@ -295,7 +295,7 @@ def test_cached_point_values_repeat_the_uncached_evaluator_bit_for_bit(boundary,
     rng = np.random.default_rng(n_max)
     l, T = problem.l, problem.T
     xs = [-0.0, 0.0, *(l * rng.uniform(0.0, 1.0, 7)).tolist(), l]
-    ts = [-0.0, 0.0, *(T * np.geomspace(1e-6, 1.0, 12)).tolist(), math.nan]
+    ts = [-0.0, 0.0, *(T * np.geomspace(1e-6, 1.0, 12)).tolist()]
     t_major = [(x, t) for t in ts for x in xs]
     x_major = [(x, t) for x in xs for t in ts]
     shuffled = [t_major[i] for i in rng.permutation(len(t_major))]
@@ -305,6 +305,12 @@ def test_cached_point_values_repeat_the_uncached_evaluator_bit_for_bit(boundary,
             for point in ((x, t), (np.float64(x), np.float64(t))):
                 got, want = sol(*point), _uncached_point(sol, *point)
                 assert got.hex() == want.hex(), point
+    # a NaN time is refused before any row is made
+    sol = solve_problem(problem, n_max=n_max)
+    for t in (math.nan, np.float64(math.nan)):
+        with pytest.raises(ValueError, match="t >= 0, got t = nan"):
+            sol(0.3 * l, t)
+    assert not sol.modal._weight_rows and not sol.modal._trig_rows
 
 
 def test_point_caches_hold_at_most_64_rows():

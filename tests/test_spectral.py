@@ -620,7 +620,8 @@ def test_every_dropped_mode_has_a_zero_damping_factor():
 def test_every_evaluator_refuses_a_negative_time(kind, source):
     # one rule for the point and the grids, with the solution's message and
     # no RuntimeWarning on the way (the grid gave nan with two of them, the
-    # point evaluator the start line's value)
+    # point evaluator the start line's value); NaN and +inf are refused too
+    # (they gave nan, or a RuntimeWarning at t = inf)
     ser = _seeded_series(np.random.default_rng(24), kind, 64, source)
     x = 0.5 * ser.eigen.l
     calls = [
@@ -633,10 +634,14 @@ def test_every_evaluator_refuses_a_negative_time(kind, source):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
-            for t in (-0.1, -1e-300, -math.inf):
+            for t in (-0.1, -1e-300, -math.inf, math.nan, math.inf):
                 message = rf"the solution is defined for t >= 0, got t = \(?{re.escape(repr(t))}"
                 with pytest.raises(ValueError, match=message):
                     call(t)
+        # the insulated rod's two forms meet the same rule through its series grid
+        rod = (Poly1((0.3, -0.2, 0.5), "x"), Poly1((1.0, 0.0, -1.0), "x"))
+        with pytest.raises(ValueError, match="the solution is defined for t >= 0, got t = inf"):
+            verify.two_forms_check(*rod, 0.25, ts=[math.inf])
         # -0.0 is the start line
         assert evaluate_series_info(ser, x, -0.0) == evaluate_series_info(ser, x, 0.0)
         assert ser.grid([x], [-0.0]).tolist() == ser.grid([x], [0.0]).tolist()
@@ -695,7 +700,7 @@ def test_cached_factor_rows_repeat_the_uncached_evaluator_bit_for_bit(kind, sour
     xs = [-0.0, 0.0, *(l * rng.uniform(0.0, 1.0, 6)).tolist(), l]
     # the times where modes die: one whole cached trig row meets weight rows
     # that are zero past different live counts
-    ts = [-0.0, 0.0, math.nan, *_death_times(base)[1:], *np.geomspace(1e-6, 10.0, 5).tolist()]
+    ts = [-0.0, 0.0, *_death_times(base)[1:], *np.geomspace(1e-6, 10.0, 5).tolist()]
     t_major = [(x, t) for t in ts for x in xs]
     x_major = [(x, t) for x in xs for t in ts]
     shuffled = [t_major[i] for i in rng.permutation(len(t_major))]
@@ -706,10 +711,10 @@ def test_cached_factor_rows_repeat_the_uncached_evaluator_bit_for_bit(kind, sour
                 got, want = evaluate_series_info(ser, *point), _uncached_value(ser, *point)
                 assert _info_bits(got) == _info_bits(want), point
         assert 0 < len(ser._weight_rows) <= 64 and 0 < len(ser._trig_rows) <= 64
-    # a negative time is refused before any row is made
+    # a negative, NaN or infinite time is refused before any row is made
     ser = _fresh(base)
-    for t in (-0.5, np.float64(-0.5)):
-        with pytest.raises(ValueError, match="t >= 0, got t = -0.5"):
+    for t in (-0.5, np.float64(-0.5), math.nan, np.float64(math.nan), math.inf):
+        with pytest.raises(ValueError, match=f"t >= 0, got t = {float(t)!r}"):
             evaluate_series_info(ser, 0.3 * l, t)
     assert not ser._trig_rows and not ser._weight_rows
     # a complex x or t is refused before any row is made: the grids take them

@@ -311,6 +311,32 @@ def test_report_is_deterministic_across_runs():
         assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
+def test_report_refuses_a_t_min_outside_the_horizon(monkeypatch):
+    # NaN gave an all-NaN report, -1 an error naming the complex step
+    # (-1+1e-30j), and t_min > T probed past the horizon
+    sol = solve_problem(_ex2_problem())
+    edges = [residual_report(sol, t_min=t) for t in (0.0, sol.problem.T)]
+    assert all(math.isfinite(rep.pde_residual_max) for rep in edges)
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(verify.SemiAnalyticSolution, "on_grid", no_grid)
+    for t_min in (math.nan, -1.0, -1e-300, 1.5 * sol.problem.T, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^t_min must lie in \[0, T\] = \[0, 1.0\], got {t_min!r}$"):
+            residual_report(sol, t_min=t_min)
+
+
+def test_the_insulated_rod_names_its_own_parameter():
+    # both said "k, nu, l must be positive", though their callers pass k alone
+    f, mu0 = Poly1((0.3, -0.2, 0.5), "x"), Poly1((1.0, 0.0, -1.0), "x")
+    for k in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            verify.solve_neumann_neumann(f, mu0, k)
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            two_forms_check(f, mu0, k)
+
+
 def test_initial_l2_matches_quadrature_when_series_is_dropped():
     # with the modal amplitudes zeroed the report's initial misfit is the
     # full norm of the unmatched initial residue (1 - x^2)^2
