@@ -8,6 +8,7 @@ than tautology.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,9 +17,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .polyalg import _positive
 from .solver import ProblemSpec, SemiAnalyticSolution, solve_neumann_neumann
+from .spectral import _ROW_BLOCK
 
 __all__ = [
-    "GridSolution",
     "VerificationReport",
     "crank_nicolson_reference",
     "residual_report",
@@ -29,56 +30,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSolution:
-    """Finite-difference solution on the uniform space-time grid.
-
-    values[n, i] approximates u(xs[i], ts[n]); row 0 is the sampled initial
-    state."""
-
-    xs: np.ndarray
-    ts: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ts = np.asarray(self.ts, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (ts.size, xs.size):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid "
-                f"({ts.size}, {xs.size})"
-            )
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "values", vals)
+def _thomas_pivots(lower, diag, upper) -> tuple[list[float], list[float]]:
+    """Thomas's pivots on Python floats: d_0 = diag_0, c_0 = upper_0 / d_0,
+    d_i = diag_i - lower_i c_{i-1}, c_i = upper_i / d_i (c = 0 in the last
+    row). Once c_i == c_{i-1}, (d_i, c_i) repeats bit for bit while the rows
+    repeat row i; that run (the oracle's settled interior) is filled, not looped."""
+    rows = np.array((lower, diag, upper), dtype=float)
+    n = rows.shape[1]
+    # rows 1 to n - 2 in runs of equal rows; a row unlike the one before starts a run
+    edges = [1, *(np.flatnonzero((rows[:, 1:] != rows[:, :-1]).any(axis=0)) + 1).tolist(), n - 1]
+    lower, diag, upper = rows.tolist()
+    denom, cp = [diag[0]], [upper[0] / diag[0]]
+    for start, stop in zip(edges, edges[1:]):
+        for i in range(start, stop):
+            d = diag[i] - lower[i] * cp[-1]
+            c = upper[i] / d
+            denom.append(d)
+            cp.append(c)
+            if c == cp[-2]:  # settled: the rest of the run repeats (d, c)
+                denom += [d] * (stop - i - 1)
+                cp += [c] * (stop - i - 1)
+                break
+    if n > 1:
+        denom.append(diag[-1] - lower[-1] * cp[-1])
+        cp.append(0.0)
+    return denom, cp
 
 
 def _tridiagonal_solver(lower, diag, upper):
     """Factor a tridiagonal matrix once and return solve(rhs) -> array.
 
     lower[i] multiplies x[i-1] and upper[i] multiplies x[i+1] (lower[0] and
-    upper[-1] are ignored). Thomas's factorization (pivots d_i, c_i) runs once,
-    on Python floats. A solve runs the forward recurrence y_i = r_i / d_i +
-    g_i y_{i-1}, g_i = -lower_i / d_i, and the backward x_i = y_i - c_i x_{i+1}
-    as recursive-doubling scans (Kogge & Stone, IEEE Trans. Comput. C-22,
-    1973) of ceil(log2 n) array passes each. They round differently from
-    sequential sweeps (a few eps max|x| apart) and are slower below about 150
-    unknowns; the oracle's systems have 9 to 10001."""
-    lower, diag, upper = (np.asarray(v, dtype=float).tolist() for v in (lower, diag, upper))
-    n = len(diag)
-    denom = [diag[0]]
-    cp = [upper[0] / diag[0]]
-    for i in range(1, n):
-        d = diag[i] - lower[i] * cp[i - 1]
-        denom.append(d)
-        cp.append(upper[i] / d if i < n - 1 else 0.0)
-    denom = np.array(denom)
+    upper[-1] are ignored); _thomas_pivots gives d_i and c_i. A solve runs the
+    forward recurrence y_i = r_i / d_i + g_i y_{i-1}, g_i = -lower_i / d_i,
+    and the backward x_i = y_i - c_i x_{i+1} as recursive-doubling scans
+    (Kogge & Stone, IEEE Trans. Comput. C-22, 1973) of ceil(log2 n) array
+    passes each. They round differently from sequential sweeps (a few eps
+    max|x| apart) and are slower below about 150 unknowns; the oracle's
+    systems have 9 to 10001."""
+    denom, cp = map(np.array, _thomas_pivots(lower, diag, upper))
     # pass s adds G_s[i] y_{i-s}, G_s[i] = g_i g_{i-1} ... g_{i-s+1}; the
     # backward products are built alike on the reversed c, then turned back
-    g, h = -np.array(lower) / denom, -np.array(cp[::-1])
+    g, h = -np.asarray(lower, dtype=float) / denom, -cp[::-1]
     forward, backward, s = [], [], 1
-    while s < n:
+    while s < denom.size:
         forward.append((s, g[s:]))
         backward.append((s, h[s:][::-1].copy()))
         g = np.concatenate((g[:s], g[s:] * g[:-s]))
@@ -125,8 +120,10 @@ def _substeps(ts: np.ndarray, dt: float, graded: bool):
         yield [(a, b, dt / pieces, 0.5) for a, b in zip(marks[:-1], marks[1:])]
 
 
-def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSolution:
-    """Crank-Nicolson finite-difference reference on an (M+1) x (K+1) grid.
+def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> _ReferenceRows:
+    """Crank-Nicolson finite-difference reference on an (M+1) x (K+1) grid,
+    streamed: each iteration of the result (axes xs, ts) marches anew and
+    yields u(xs, ts[n]) for n = 0..K, holding one row and one factorization.
 
     Neumann and Robin ends use ghost points eliminated through the boundary
     relation. The source is sampled at the half step. For data consistent at
@@ -148,65 +145,61 @@ def crank_nicolson_reference(problem: ProblemSpec, M: int, K: int) -> GridSoluti
     """
     if M < 8 or K < 8:
         raise ValueError("M and K must both be at least 8")
-    k, nu, l, T = problem.k, problem.nu, problem.l, problem.T
-    h = l / M
-    dt = T / K
-    xs = np.linspace(0.0, l, M + 1)
-    ts = np.linspace(0.0, T, K + 1)
-    left = problem.boundary  # "neumann_robin" | "dirichlet_robin" | "neumann_neumann"
-    # the insulated right end of neumann_neumann is the Robin row with beta = 0
-    beta = 0.0 if left == "neumann_neumann" else h * nu / k
-    # the x stage of F.grid's two-stage Horner, once; each step runs the t stage
-    source_x = npoly.polyval(xs, problem.F.array)
-    solvers = {}
+    xs, ts = np.linspace(0.0, problem.l, M + 1), np.linspace(0.0, problem.T, K + 1)
+    return _ReferenceRows(problem, xs, ts)
 
-    def implicit_solver(lam: float, theta: float):
-        a = theta * lam
-        lower = np.full(M + 1, -a)
-        diag = np.full(M + 1, 1.0 + 2.0 * a)
-        upper = np.full(M + 1, -a)
-        if left == "dirichlet_robin":
-            diag[0] = 1.0
-            upper[0] = 0.0
-        else:
-            upper[0] = -2.0 * a  # ghost u_{-1} = u_1
-        lower[M] = -2.0 * a
-        diag[M] = 1.0 + 2.0 * a + 2.0 * a * beta
-        return _tridiagonal_solver(lower, diag, upper)
 
-    def step(u, t0, t1, tau, theta):
-        lam = k * tau / (h * h)
-        key = (tau, theta)
-        if key not in solvers:
-            solvers.clear()  # a step size never recurs once left
-            solvers[key] = implicit_solver(lam, theta)
-        b = (1.0 - theta) * lam  # explicit weight; 0.5 lam for Crank-Nicolson
-        b2 = 2.0 * b
-        f = npoly.polyval(t0 + theta * tau, source_x)
-        rhs = (1.0 - b2) * u + tau * f
-        rhs[1:M] += b * (u[:M - 1] + u[2:])
-        if left == "dirichlet_robin":
-            rhs[0] = 0.0
-        else:
-            rhs[0] = (1.0 - b2) * u[0] + b2 * u[1] + tau * f[0]
-        level = theta * problem.T0(t1) + (1.0 - theta) * problem.T0(t0)
-        rhs[M] = (
-            (1.0 - b2 - b2 * beta) * u[M]
-            + b2 * u[M - 1]
-            + 2.0 * lam * beta * level
-            + tau * f[M]
-        )
-        return solvers[key](rhs)
+@dataclass(frozen=True)
+class _ReferenceRows:
+    """The rows of crank_nicolson_reference on the grid xs x ts."""
 
-    values = np.empty((K + 1, M + 1))
-    values[0] = problem.mu0(xs)
-    u = values[0].copy()
-    graded = bool(problem.incompatible_corners())
-    for n, substeps in enumerate(_substeps(ts, dt, graded)):
-        for t0, t1, tau, theta in substeps:
-            u = step(u, t0, t1, tau, theta)
-        values[n + 1] = u
-    return GridSolution(xs, ts, values)
+    problem: ProblemSpec
+    xs: np.ndarray
+    ts: np.ndarray
+
+    def __iter__(self):
+        problem, xs, ts, M = self.problem, self.xs, self.ts, self.xs.size - 1
+        k, nu, h, dt = problem.k, problem.nu, problem.l / M, problem.T / (ts.size - 1)
+        left = problem.boundary  # "neumann_robin" | "dirichlet_robin" | "neumann_neumann"
+        # the insulated right end of neumann_neumann is the Robin row with beta = 0
+        beta = 0.0 if left == "neumann_neumann" else h * nu / k
+        # the x stage of F.grid's two-stage Horner, once; each step runs the t stage
+        source_x = npoly.polyval(xs, problem.F.array)
+        solvers = {}
+
+        def implicit_solver(lam: float, theta: float):
+            a = theta * lam
+            lower, diag, upper = (np.full(M + 1, v) for v in (-a, 1.0 + 2.0 * a, -a))
+            if left == "dirichlet_robin":
+                diag[0], upper[0] = 1.0, 0.0
+            else:
+                upper[0] = -2.0 * a  # ghost u_{-1} = u_1
+            lower[M], diag[M] = -2.0 * a, 1.0 + 2.0 * a + 2.0 * a * beta
+            return _tridiagonal_solver(lower, diag, upper)
+
+        def step(u, t0, t1, tau, theta):
+            lam = k * tau / (h * h)
+            if (tau, theta) not in solvers:
+                solvers.clear()  # a step size never recurs once left
+                solvers[tau, theta] = implicit_solver(lam, theta)
+            b = (1.0 - theta) * lam  # explicit weight; 0.5 lam for Crank-Nicolson
+            b2 = 2.0 * b
+            f = npoly.polyval(t0 + theta * tau, source_x)
+            rhs = (1.0 - b2) * u + tau * f
+            rhs[1:M] += b * (u[:M - 1] + u[2:])
+            rhs[0] = 0.0 if left == "dirichlet_robin" else (1.0 - b2) * u[0] + b2 * u[1] + tau * f[0]
+            level = theta * problem.T0(t1) + (1.0 - theta) * problem.T0(t0)
+            edge = (1.0 - b2 - b2 * beta) * u[M] + b2 * u[M - 1]
+            rhs[M] = edge + 2.0 * lam * beta * level + tau * f[M]
+            return solvers[tau, theta](rhs)
+
+        # a step never writes to u, so every yielded row stays as it was
+        u = np.full(M + 1, problem.mu0(xs))
+        yield u
+        for substeps in _substeps(ts, dt, bool(problem.incompatible_corners())):
+            for t0, t1, tau, theta in substeps:
+                u = step(u, t0, t1, tau, theta)
+            yield u
 
 
 # Complex steps of the residual probe: h for every first derivative (u_t, and
@@ -244,12 +237,12 @@ class VerificationReport:
 
 
 def residual_report(
-    sol: SemiAnalyticSolution, *, t_min: float = 0.01, oracle: GridSolution | None = None
+    sol: SemiAnalyticSolution, *, t_min: float = 0.01, oracle: _ReferenceRows | None = None
 ) -> VerificationReport:
     """Residuals of the interior equation and both boundary conditions of
     sol.problem on a 41 x 41 grid of [0,l] x [t_min,T], 0 <= t_min <= T, the
-    exact L2 size of the initial mismatch, and an optional comparison against
-    a reference grid.
+    exact L2 size of the initial mismatch, and the largest gap to an optional
+    crank_nicolson_reference over its rows with t >= t_min, in 64-row blocks.
 
     Every derivative is taken by complex step (Squire & Trapp, SIAM Rev.
     40, 1998), evaluating the solution off the real axis:
@@ -292,10 +285,18 @@ def residual_report(
 
     oracle_diff = None
     if oracle is not None:
-        # blocks count from the first kept row, as on_grid's would; no second grid
-        rows = np.flatnonzero(oracle.ts >= t_min - 1e-12)
-        blocks = sol.row_blocks(oracle.xs, oracle.ts[rows])
-        diffs = [np.max(np.abs(b - oracle.values[rows[s : s + len(b)]])) for s, b in blocks]
+        # the series' blocks count from the first kept row; the march fills ref
+        first = int(np.argmax(oracle.ts >= t_min - 1e-12))
+        march = itertools.islice(oracle, first, None)
+        ref = np.empty((_ROW_BLOCK, oracle.xs.size))
+        diffs = []
+        for _, block in sol.row_blocks(oracle.xs, oracle.ts[first:]):
+            rows = ref[: len(block)]
+            for row in rows:
+                row[:] = next(march)
+            np.subtract(block, rows, out=rows)
+            del block  # freed before the next block is built, not after
+            diffs.append(np.max(np.abs(rows, out=rows)))
         oracle_diff = float(np.max(diffs))
 
     return VerificationReport(
@@ -384,14 +385,13 @@ def two_forms_check(f, mu0, k: float, xs=None, ts=None, n_max: int = 24) -> floa
     2 sin^2(Omega z / 2) / z^2 (Omega^2 / 2 at z = 0). So the sum's
     aliasing and truncation bounds hold at every w <= Omega. Each t is one
     array pass over all modes; both forms share one truncated mode set, so
-    the difference isolates the transform identity.
+    the difference isolates the transform identity; form one's grid checks ts.
     """
     xs = np.linspace(0.0, 1.0, 21) if xs is None else np.asarray(xs, dtype=float)
     ts = np.linspace(0.01, 1.0, 11) if ts is None else np.asarray(ts, dtype=float)
-    if xs.size == 0:
-        raise ValueError("xs must be non-empty")
-    if ts.size == 0 or not np.all(ts >= 0.0):
-        raise ValueError("ts must be non-empty with every t >= 0")
+    for name, axis in (("xs", xs), ("ts", ts)):
+        if axis.size == 0:
+            raise ValueError(f"{name} must be non-empty")
 
     series = solve_neumann_neumann(f, mu0, k, n_max)
     form_a = series.grid(xs, ts)

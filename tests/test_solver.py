@@ -254,7 +254,7 @@ def test_insulated_rod_matches_finite_difference():
     cn = crank_nicolson_reference(p, 200, 200)
     mask = cn.ts >= 0.05
     mine = ser.grid(cn.xs, cn.ts[mask])
-    diff = float(np.max(np.abs(mine - cn.values[mask])))
+    diff = float(np.max(np.abs(mine - np.array(list(cn))[mask])))
     assert diff < 5e-4, diff
 
 
