@@ -495,14 +495,14 @@ def cmd_eigen(kind: str, k: float, nu: float, l: float, n: int) -> int:
     mapped = _BOUNDARY_ALIASES.get(kind)  # the two Robin kinds only
     if mapped is None:
         raise _Stop(2, f"parameter error: kind must be 'nr' or 'dr', got {kind!r}")
-    for name, v in (("k", k), ("nu", nu), ("l", l)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise _Stop(2, f"parameter error: {name} must be a positive number, got {v!r}")
     if not (1 <= n <= 1024):
         raise _Stop(2, f"parameter error: n must be in [1, 1024], got {n}")
     # an overflow inside the root search shows as a non-finite value below
     with np.errstate(over="ignore", invalid="ignore"):
-        eig = eigenvalues(mapped, k, nu, l, n)
+        try:  # eigenvalues refuses a bad k, nu or l by the library's parameter rule
+            eig = eigenvalues(mapped, k, nu, l, n)
+        except ValueError as exc:
+            raise _Stop(2, f"parameter error: {exc}") from None
         sigma, res = np.array(eig.roots), np.array(eig.residuals)
         gap = np.abs(sigma - np.rint(sigma * l / math.pi) * math.pi / l)
         rel = res / np.maximum(nu, k * sigma)

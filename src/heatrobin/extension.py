@@ -129,7 +129,7 @@ def evolve_profile(profile: ExtensionProfile, k: float) -> Poly2:
     u(x,0) = mu(x). Only even x powers occur for parity 'even', so
     du/dx(0,t) = 0 identically; only odd ones for 'odd', so u(0,t) = 0.
     """
-    _positive("k", k)
+    _positive(k=k)
     off, a = _parity_offset(profile.parity), list(profile.coeffs)
     while a and a[-1] == 0.0:
         a.pop()
@@ -168,7 +168,7 @@ def duhamel_poly(F: Poly2, k: float, parity: str) -> Poly2:
     * t**(m+j+1), with Beta-weight m! j! / (m+j+1)! from the exact s-integral.
     Satisfies u_p(x,0) = 0 and d/dt u_p - k d2/dx2 u_p = F coefficient-wise.
     """
-    _positive("k", k)
+    _positive(k=k)
     _check_parity(F, parity)
     if F.is_zero():
         return Poly2.zero()
@@ -190,7 +190,7 @@ def robin_trace(P: Poly2, k: float, nu: float, l: float) -> Poly1:
     """The Robin boundary combination P(l,t) + (k/nu) * dP/dx(l,t) as a
     polynomial in t. For P = evolve_profile(profile) its constant term is
     mu(l) + (k/nu) * mu'(l)."""
-    _positive("k, nu, l", k, nu, l)
+    _positive(k=k, nu=nu, l=l)
     return P.at_x(l) + (k / nu) * P.dx().at_x(l)
 
 
@@ -208,7 +208,7 @@ def build_coefficient_system(
     if N < 0:
         raise ValueError("N must be nonnegative")
     off = _parity_offset(parity)
-    _positive("k, nu, l", k, nu, l)
+    _positive(k=k, nu=nu, l=l)
     mat = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
         p = 2 * i + off
@@ -236,7 +236,7 @@ def flux_sign_variant_matrix(
     if N < 0:
         raise ValueError("N must be nonnegative")
     off = _parity_offset(parity)
-    _positive("k, nu, l", k, nu, l)
+    _positive(k=k, nu=nu, l=l)
     mat = np.zeros((N + 1, N + 1))
     (kn, kd), (nn, nd), (ln, ld) = (float(v).as_integer_ratio() for v in (k, nu, l))
     data = f"k = {float(k)!r}, nu = {float(nu)!r}, l = {float(l)!r}"

@@ -26,11 +26,12 @@ __all__ = [
 ]
 
 
-def _positive(names: str, *values) -> None:
-    """The library's parameter rule: every value is in (0, inf), NaN never is."""
-    for v in values:
+def _positive(**named) -> None:
+    """The library's parameter rule: every value is in (0, inf), NaN never is;
+    the first that is not is named with its repr in the ValueError."""
+    for name, v in named.items():
         if not 0.0 < v < math.inf:
-            raise ValueError(f"{names} must be positive")
+            raise ValueError(f"{name} must be a positive finite number, got {v!r}")
 
 
 def grid_axis(values) -> np.ndarray:

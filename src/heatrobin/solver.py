@@ -70,11 +70,9 @@ class ProblemSpec:
     T0: Poly1
 
     def __post_init__(self):
+        _positive(k=self.k, nu=self.nu, l=self.l, T=self.T)
         for name in ("k", "nu", "l", "T"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.boundary not in BOUNDARY_KINDS:
             raise ValueError(
                 f"boundary must be one of {BOUNDARY_KINDS}, got {self.boundary!r}"
@@ -196,7 +194,7 @@ def solve_neumann_neumann(f: Poly1, mu0: Poly1, k: float, n_max: int = 64) -> Mo
     u_x(0,t) = u_x(1,t) = 0 and u(x,0) = mu0(x), as the neumann_neumann
     ModalSeries: mu0 projects onto its amplitudes and the static source f
     onto its source-memory amplitudes (both Poly1 in x, projected exactly)."""
-    _positive("k", k)
+    _positive(k=k)
     eigen = eigenvalues("neumann_neumann", k, 1.0, 1.0, n_max)
     return ModalSeries(eigen, tuple(fourier_coeffs(eigen, mu0)), source=tuple(fourier_coeffs(eigen, f)))
 
@@ -205,6 +203,5 @@ def kernel_cosine_transform(n: int, k: float, t: float) -> float:
     """Closed form of the heat-kernel cosine transform:
     integral of cos(n pi y) * (4 pi k t)^(-1/2) * exp(-y^2 / (4kt)) over the
     line equals exp(-n^2 pi^2 k t)."""
-    _positive("t", t)
-    _positive("k", k)
+    _positive(t=t, k=k)
     return math.exp(-((n * math.pi) ** 2) * k * t)

@@ -169,7 +169,7 @@ def eigenvalues(kind: str, k: float, nu: float, l: float, n_max: int) -> EigenSy
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    _positive("k, nu, l", k, nu, l)
+    _positive(k=k, nu=nu, l=l)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     shift = _shift(kind)
@@ -362,7 +362,7 @@ def evaluate_series_info(
     the series is identically zero. A negative, NaN or infinite t or tol, a
     zero tol, or a complex x or t raises ValueError (the grids take complex ones).
     """
-    _positive("tol", tol)
+    _positive(tol=tol)
     if isinstance(x, _COMPLEX) or isinstance(t, _COMPLEX):
         raise ValueError(f"a point takes a real x and t, got ({x!r}, {t!r}); on_grid takes complex ones")
     terms, bound = _cached_row(series._weight_rows, t, lambda: _weight_row(series, t))

@@ -823,3 +823,14 @@ def test_eigen_rejects_bad_parameters(args, fragment):
     proc = _run("eigen", *args)
     assert proc.returncode == 2
     assert fragment in proc.stderr
+
+
+def test_parameter_messages_are_the_library_rule(tmp_path, capsys):
+    # the config's ProblemSpec and eigen's table go through polyalg._positive
+    cfg = _write_config(tmp_path, {**EX2, "k": 0.0})
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: k must be a positive finite number, got 0.0\n"
+    assert cli.main(["eigen", "--kind", "nr", "--k", "1", "--nu", "nan", "--l", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parameter error: nu must be a positive finite number, got nan\n"
+    assert captured.out == ""

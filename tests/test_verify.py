@@ -234,17 +234,30 @@ def test_blocked_oracle_diff_is_the_whole_grid_maximum(problem):
 
 def test_oracle_and_its_comparison_hold_one_grid():
     # the oracle streams its rows into the block comparison, so at M = 100
-    # the report peaks at K = 900 above K = 100 by less than one 64-row
-    # block (0.05 MB); holding the oracle's grid took 0.73 MB more
+    # the report peaks at K = 1800 above K = 200 by less than one 64-row
+    # block (0.05 MB); holding the oracle's grid would take 1.29 MB more.
+    # Both K reach the steady state of full blocks, which K = 100 does not.
     sol = solve_problem(_ex3_problem())
     block_bytes = 64 * 101 * 8
 
     def compare(K):
         return residual_report(sol, oracle=crank_nicolson_reference(_ex3_problem(), 100, K))
 
-    _, coarse_peak = traced(lambda: compare(100))
-    _, fine_peak = traced(lambda: compare(900))
+    _, coarse_peak = traced(lambda: compare(200))
+    _, fine_peak = traced(lambda: compare(1800))
     assert fine_peak - coarse_peak < block_bytes, (coarse_peak, fine_peak)
+
+
+def test_a_tiny_t_min_keeps_the_start_row_out_of_the_oracle_window():
+    # t_min - 1e-12 kept t = 0, and its corner error, for any t_min <= 1e-12
+    sol = solve_problem(_ex3_problem())
+    oracle = crank_nicolson_reference(_ex3_problem(), 40, 40)
+    rows = np.array(list(oracle))
+    start = np.max(np.abs(sol.on_grid(oracle.xs, oracle.ts[:1]) - rows[:1]))
+    later = np.max(np.abs(sol.on_grid(oracle.xs, oracle.ts[1:]) - rows[1:]))
+    assert start > 10 * later
+    for t_min in (1e-300, 1e-13, 1e-11):
+        assert residual_report(sol, t_min=t_min, oracle=oracle).oracle_max_diff == float(later), t_min
 
 
 @pytest.mark.parametrize("problem", [_ex3_problem, _dr_problem])
@@ -370,9 +383,10 @@ def test_the_insulated_rod_names_its_own_parameter():
     # both said "k, nu, l must be positive", though their callers pass k alone
     f, mu0 = Poly1((0.3, -0.2, 0.5), "x"), Poly1((1.0, 0.0, -1.0), "x")
     for k in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="^k must be positive$"):
+        want = f"^k must be a positive finite number, got {k!r}$"
+        with pytest.raises(ValueError, match=want):
             verify.solve_neumann_neumann(f, mu0, k)
-        with pytest.raises(ValueError, match="^k must be positive$"):
+        with pytest.raises(ValueError, match=want):
             two_forms_check(f, mu0, k)
 
 
@@ -432,9 +446,10 @@ def test_kernel_quadrature_matches_closed_form():
                 got = kernel_cosine_transform_quadrature(n, k, t)
                 want = kernel_cosine_transform(n, k, t) if n else 1.0
                 assert abs(got - want) < 1e-10, (n, k, t)
-    with pytest.raises(ValueError, match="must be positive"):
+    # each parameter is named by itself; both were "k and t", checked as (t, k)
+    with pytest.raises(ValueError, match="^t must be a positive finite number, got 0.0$"):
         kernel_cosine_transform_quadrature(1, 1.0, 0.0)
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match="^k must be a positive finite number, got 0.0$"):
         kernel_cosine_transform_quadrature(1, 0.0, 1.0)
 
 
