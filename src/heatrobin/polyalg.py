@@ -273,15 +273,16 @@ def trig_poly_integral(
 
     sin_l/cos_l may be supplied when the caller has more accurate values of
     sin(sigma*l), cos(sigma*l) than direct evaluation gives. sigma may be an
-    array (with sin_l/cos_l of its shape): the recurrence then runs over all
-    entries at once with the same + - * / in the same order, so each entry
-    keeps the bits of its scalar call. A scalar sigma returns a float.
+    array or a list (with sin_l/cos_l of its shape): the recurrence then runs
+    over all entries at once with the same + - * / in the same order, so each
+    entry keeps the bits of its scalar call. A scalar sigma returns a float.
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if not (np.all((np.asarray(sigma) > 0) & np.isfinite(sigma)) and 0.0 < l < math.inf):
+    sigma = np.asarray(sigma, dtype=float)
+    if not (np.all((sigma > 0) & np.isfinite(sigma)) and 0.0 < l < math.inf):
         raise ValueError("sigma and l must be positive")
     if sin_l is None:
         sin_l = np.sin(sigma * l)

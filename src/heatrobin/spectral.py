@@ -290,7 +290,7 @@ def _live_modes(series: ModalSeries, ts: np.ndarray) -> int:
     t0 = ts.real.min() if ts.size else 0.0
     if series.source or not t0 > 0.0:
         return series.n_terms
-    return int(np.searchsorted(series._rates, 746.0 / t0, side="right"))
+    return int(np.searchsorted(series._rates, 746.0 / float(t0), side="right"))
 
 
 def _damped_amplitudes(series: ModalSeries, ts: np.ndarray, live: int) -> np.ndarray:

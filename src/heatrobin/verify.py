@@ -8,6 +8,7 @@ than tautology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,61 +30,40 @@ __all__ = [
 ]
 
 
-def _thomas_pivots(lower, diag, upper) -> tuple[list[float], list[float]]:
-    """Thomas's pivots on Python floats: d_0 = diag_0, c_0 = upper_0 / d_0,
-    d_i = diag_i - lower_i c_{i-1}, c_i = upper_i / d_i (c = 0 in the last
-    row). Once c_i == c_{i-1}, (d_i, c_i) repeats bit for bit while the rows
-    repeat row i; that run (the oracle's settled interior) is filled, not looped."""
-    rows = np.array((lower, diag, upper), dtype=float)
-    n = rows.shape[1]
-    # rows 1 to n - 2 in runs of equal rows; a row unlike the one before starts a run
-    edges = [1, *(np.flatnonzero((rows[:, 1:] != rows[:, :-1]).any(axis=0)) + 1).tolist(), n - 1]
-    lower, diag, upper = rows.tolist()
-    denom, cp = [diag[0]], [upper[0] / diag[0]]
-    for start, stop in zip(edges, edges[1:]):
-        for i in range(start, stop):
-            d = diag[i] - lower[i] * cp[-1]
-            c = upper[i] / d
-            denom.append(d)
-            cp.append(c)
-            if c == cp[-2]:  # settled: the rest of the run repeats (d, c)
-                denom += [d] * (stop - i - 1)
-                cp += [c] * (stop - i - 1)
-                break
-    if n > 1:
-        denom.append(diag[-1] - lower[-1] * cp[-1])
-        cp.append(0.0)
-    return denom, cp
-
-
 def _tridiagonal_solver(lower, diag, upper):
     """Factor a tridiagonal matrix once and return solve(rhs) -> array.
 
     lower[i] multiplies x[i-1] and upper[i] multiplies x[i+1] (lower[0] and
-    upper[-1] are ignored); _thomas_pivots gives d_i and c_i. A solve runs the
-    forward recurrence y_i = r_i / d_i + g_i y_{i-1}, g_i = -lower_i / d_i,
-    and the backward x_i = y_i - c_i x_{i+1} as recursive-doubling scans
-    (Kogge & Stone, IEEE Trans. Comput. C-22, 1973) of ceil(log2 n) array
-    passes each. They round differently from sequential sweeps (a few eps
-    max|x| apart) and are slower below about 150 unknowns; the oracle's
-    systems have 9 to 10001."""
-    denom, cp = map(np.array, _thomas_pivots(lower, diag, upper))
-    # pass s adds G_s[i] y_{i-s}, G_s[i] = g_i g_{i-1} ... g_{i-s+1}; the
-    # backward products are built alike on the reversed c, then turned back
-    g, h = -np.asarray(lower, dtype=float) / denom, -cp[::-1]
-    forward, backward, s = [], [], 1
+    upper[-1] are ignored). Thomas's pivots are looped on Python floats:
+    d_0 = diag_0, c_{i-1} = upper_{i-1} / d_{i-1}, d_i = diag_i - lower_i c_{i-1}.
+    A solve runs the forward recurrence y_i = r_i / d_i + g_i y_{i-1},
+    g_i = -lower_i / d_i, and the backward x_i = y_i - c_i x_{i+1} as
+    recursive-doubling scans (Kogge & Stone, IEEE Trans. Comput. C-22, 1973)
+    of ceil(log2 n) array passes each. Pass s adds G_s[i] y_{i-s} forward and
+    H_s[i] x_{i+s} backward, G_s[i] = g_i g_{i-1} ... g_{i-s+1} and
+    H_s[i] = (-c_i)(-c_{i+1}) ... (-c_{i+s-1}). Both tables follow one rule:
+    G_1 = g_1..g_{n-1} and H_1 = -c_0..-c_{n-2}, then G_2s[i] = G_s[i] G_s[i-s]
+    and H_2s[i] = H_s[i] H_s[i+s], each array s entries shorter than the last.
+    The scans round differently from sequential sweeps (a few eps max|x|
+    apart) and are slower below 150 unknowns; the oracle's have 9 to 10001."""
+    lower, diag, upper = (np.asarray(v, dtype=float).tolist() for v in (lower, diag, upper))
+    denom, cp, d = [diag[0]], [], diag[0]
+    for lo, dg, up in zip(lower[1:], diag[1:], upper):
+        cp.append(c := up / d)
+        denom.append(d := dg - lo * c)
+    denom = np.array(denom)
+    g, h = -np.array(lower[1:]) / denom[1:], -np.array(cp)
+    tables, s = [], 1
     while s < denom.size:
-        forward.append((s, g[s:]))
-        backward.append((s, h[s:][::-1].copy()))
-        g = np.concatenate((g[:s], g[s:] * g[:-s]))
-        h = np.concatenate((h[:s], h[s:] * h[:-s]))
+        tables.append((s, g, h))
+        g, h = g[s:] * g[:-s], h[:-s] * h[s:]
         s *= 2
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x = rhs / denom
-        for s, m in forward:
+        for s, m, _ in tables:
             x[s:] += m * x[:-s]
-        for s, m in backward:
+        for s, _, m in tables:
             x[:-s] += m * x[s:]
         return x
 
@@ -164,10 +144,10 @@ class _ReferenceRows:
         beta = 0.0 if left == "neumann_neumann" else h * nu / k
         # the x stage of F.grid's two-stage Horner, once; each step runs the t stage
         source_x = npoly.polyval(xs, problem.F.array)
-        solvers = {}
 
-        def implicit_solver(lam: float, theta: float):
-            a = theta * lam
+        @functools.lru_cache(maxsize=1)  # a step size never recurs once left
+        def implicit_solver(tau: float, theta: float):
+            a = theta * (k * tau / (h * h))
             lower, diag, upper = (np.full(M + 1, v) for v in (-a, 1.0 + 2.0 * a, -a))
             if left == "dirichlet_robin":
                 diag[0], upper[0] = 1.0, 0.0
@@ -178,9 +158,6 @@ class _ReferenceRows:
 
         def step(u, t0, t1, tau, theta):
             lam = k * tau / (h * h)
-            if (tau, theta) not in solvers:
-                solvers.clear()  # a step size never recurs once left
-                solvers[tau, theta] = implicit_solver(lam, theta)
             b = (1.0 - theta) * lam  # explicit weight; 0.5 lam for Crank-Nicolson
             b2 = 2.0 * b
             f = npoly.polyval(t0 + theta * tau, source_x)
@@ -190,7 +167,7 @@ class _ReferenceRows:
             level = theta * problem.T0(t1) + (1.0 - theta) * problem.T0(t0)
             edge = (1.0 - b2 - b2 * beta) * u[M] + b2 * u[M - 1]
             rhs[M] = edge + 2.0 * lam * beta * level + tau * f[M]
-            return solvers[tau, theta](rhs)
+            return implicit_solver(tau, theta)(rhs)
 
         # a step never writes to u, so every yielded row stays as it was
         u = np.full(M + 1, problem.mu0(xs))

@@ -286,6 +286,10 @@ def test_trig_poly_integral_array_sigma_keeps_every_bit():
             assert got.tobytes() == np.array(ref).tobytes(), (kind, m)
             own = [trig_poly_integral(m, s, l, kind) for s in sigma.tolist()]
             assert trig_poly_integral(m, sigma, l, kind).tobytes() == np.array(own).tobytes()
+            # a list gives the array call's bits
+            listed = trig_poly_integral(m, sigma.tolist(), l, kind, sin_l=sin_l, cos_l=cos_l)
+            assert listed.tobytes() == got.tobytes(), (kind, m)
+            assert trig_poly_integral(m, sigma.tolist(), l, kind).tobytes() == np.array(own).tobytes()
     assert type(trig_poly_integral(3, 2.0, l)) is float
     bad = sigma.copy()
     bad[100] = 0.0
@@ -294,3 +298,5 @@ def test_trig_poly_integral_array_sigma_keeps_every_bit():
     bad[100] = -1.0
     with pytest.raises(ValueError, match="positive"):
         trig_poly_integral(0, bad, l)
+    with pytest.raises(ValueError, match="positive"):
+        trig_poly_integral(1, [1.0, -2.0], 1.0)

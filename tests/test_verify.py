@@ -11,10 +11,9 @@ from conftest import traced
 from heatrobin import verify
 from heatrobin.polyalg import Poly1, Poly2
 from heatrobin.solver import ProblemSpec, solve_problem
-from heatrobin.spectral import ModalSeries
+from heatrobin.spectral import ModalSeries, _live_modes
 from heatrobin.verify import (
     _substeps,
-    _thomas_pivots,
     _transform_factors,
     _tridiagonal_solver,
     crank_nicolson_reference,
@@ -127,41 +126,6 @@ def test_thomas_scans_agree_on_oracle_systems(left):
             assert _scan_gap(*_cn_system(n, lam, left), rhs) <= 64, (n, lam)
 
 
-def _plain_pivots(lower, diag, upper):
-    # Thomas's pivot recurrence, every row looped
-    n = len(diag)
-    denom, cp = [diag[0]], [upper[0] / diag[0]]
-    for i in range(1, n):
-        denom.append(diag[i] - lower[i] * cp[i - 1])
-        cp.append(upper[i] / denom[i] if i < n - 1 else 0.0)
-    return denom, cp
-
-
-@pytest.mark.parametrize("left", ["neumann_robin", "dirichlet_robin"])
-def test_pivot_runs_keep_the_recurrence_bits(left):
-    # lam theta from a graded start's first substeps to a whole step at M = K = 1000
-    for n in (401, 1001, 10001):
-        for a in (6e-5, 1e-2, 0.5, 7.0, 125.0):
-            system = [v.tolist() for v in _cn_system(n, 2.0 * a, left)]
-            want = _plain_pivots(*system)
-            got = _thomas_pivots(*system)
-            for w, g in zip(want, got):
-                assert [v.hex() for v in g] == [v.hex() for v in w], (n, a)
-
-
-def test_pivot_runs_end_where_the_rows_change():
-    # a settled run is broken by changed rows and settles again after them;
-    # the shortest systems have no run at all
-    lower, diag, upper = np.full(60, -1.0), np.full(60, 4.0), np.full(60, -1.0)
-    diag[30], upper[45], upper[46] = 9.0, -2.0, -3.0
-    for n in (1, 2, 3, 4, 31, 46, 60):
-        system = [v[:n].tolist() for v in (lower, diag, upper)]
-        want = _plain_pivots(*system)
-        got = _thomas_pivots(*system)
-        for w, g in zip(want, got):
-            assert [v.hex() for v in g] == [v.hex() for v in w], n
-
-
 def test_reference_grid_validation():
     p = _ex2_problem()
     with pytest.raises(ValueError, match="at least 8"):
@@ -258,6 +222,16 @@ def test_a_tiny_t_min_keeps_the_start_row_out_of_the_oracle_window():
     assert start > 10 * later
     for t_min in (1e-300, 1e-13, 1e-11):
         assert residual_report(sol, t_min=t_min, oracle=oracle).oracle_max_diff == float(later), t_min
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_subnormal_t_min_keeps_every_mode_live_without_overflow():
+    # 746 / 5e-324 overflows as a numpy scalar; as a Python float it is inf
+    sol = solve_problem(_ex3_problem())
+    assert _live_modes(sol.modal, np.array([5e-324])) == sol.modal.n_terms
+    report = residual_report(sol, t_min=5e-324)
+    assert math.isfinite(report.pde_residual_max)
+    assert math.isfinite(sol(0.5, 5e-324))
 
 
 @pytest.mark.parametrize("problem", [_ex3_problem, _dr_problem])
