@@ -39,13 +39,14 @@ def grid_axis(values) -> np.ndarray:
     return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
 
 
-def _horner(coeffs, v):
+def _horner(coeffs, v, out=None):
     """npoly.polyval(v, coeffs) with the same + and * in the same order, on Python
-    floats for a scalar v; Poly2 nests it in x, then in t, as polyval2d does."""
+    floats for a scalar v; Poly2 nests it in x, then in t, as polyval2d does.
+    With out, every step runs in place in out, which coeffs[i] and v broadcast to."""
     v = np.asarray(v) if isinstance(v, (list, tuple)) else v
-    acc = coeffs[-1] + v * 0
+    acc = coeffs[-1] + v * 0 if out is None else np.add(coeffs[-1], v * 0, out=out)
     for c in coeffs[-2::-1]:
-        acc = c + acc * v
+        acc = c + acc * v if out is None else np.add(c, np.multiply(acc, v, out=out), out=out)
     return acc
 
 
@@ -202,8 +203,9 @@ class Poly2:
         """Evaluate on the tensor grid, returned with shape (len(ts), len(xs)).
 
         Complex xs or ts are evaluated in complex arithmetic (the residual
-        probe's complex steps); anything else is cast to float."""
-        return npoly.polygrid2d(grid_axis(xs), grid_axis(ts), self.array).T
+        probe's complex steps); anything else is cast to float. The stages are
+        polygrid2d's: npoly.polyval in x, then _horner in t."""
+        return _horner(npoly.polyval(grid_axis(xs), self.array), grid_axis(ts)[..., None])
 
     def _binary(self, other, sign: float) -> "Poly2":
         a, b = self.array, other.array
@@ -273,7 +275,7 @@ def trig_poly_integral(
 
     sin_l/cos_l may be supplied when the caller has more accurate values of
     sin(sigma*l), cos(sigma*l) than direct evaluation gives. sigma may be an
-    array or a list (with sin_l/cos_l of its shape): the recurrence then runs
+    array or a list (with sin_l/cos_l of its shape, either): the recurrence then runs
     over all entries at once with the same + - * / in the same order, so each
     entry keeps the bits of its scalar call. A scalar sigma returns a float.
     """
@@ -284,10 +286,8 @@ def trig_poly_integral(
     sigma = np.asarray(sigma, dtype=float)
     if not (np.all((sigma > 0) & np.isfinite(sigma)) and 0.0 < l < math.inf):
         raise ValueError("sigma and l must be positive")
-    if sin_l is None:
-        sin_l = np.sin(sigma * l)
-    if cos_l is None:
-        cos_l = np.cos(sigma * l)
+    sin_l = np.sin(sigma * l) if sin_l is None else np.asarray(sin_l, dtype=float)
+    cos_l = np.cos(sigma * l) if cos_l is None else np.asarray(cos_l, dtype=float)
     ic = sin_l / sigma
     isn = (1.0 - cos_l) / sigma
     lp = 1.0

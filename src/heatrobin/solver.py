@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .extension import (
     ExtensionProfile,
@@ -42,7 +43,7 @@ from .extension import (
     matrix_discrepancy_report,
     robin_trace,
 )
-from .polyalg import Poly1, Poly2, _positive, grid_axis
+from .polyalg import Poly1, Poly2, _horner, _positive, grid_axis
 from .spectral import KINDS as BOUNDARY_KINDS
 from .spectral import ModalSeries, eigenvalues, evaluate_series, fourier_coeffs
 
@@ -140,10 +141,17 @@ class SemiAnalyticSolution:
     def row_blocks(self, xs, ts):
         """Yield (start, block), block being rows start to start + 63 of
         on_grid(xs, ts) in ModalSeries.row_blocks' blocks, bit for bit its rows
-        for real xs and ts; the time check runs once the iteration starts."""
-        ts = grid_axis(ts)
+        for real xs and ts; the time check runs once the iteration starts.
+        Poly2.grid's x stage runs once; each block's t stage runs in a second
+        buffer and is added to the modal block in place, so a yielded block
+        stays valid until the next one is requested."""
+        xs, ts = grid_axis(xs), grid_axis(ts)
+        poly_x = npoly.polyval(xs, self.poly_part.array)
         for s, block in self.modal.row_blocks(xs, ts):
-            yield s, self.poly_part.grid(xs, ts[s : s + len(block)]) + block
+            if s == 0:  # the first block is the largest
+                buf = np.empty_like(block)
+            block += _horner(poly_x, ts[s : s + len(block), None], out=buf[: len(block)])
+            yield s, block
 
 
 def solve_problem(problem: ProblemSpec, n_max: int = 64, tol: float = 1e-10) -> SemiAnalyticSolution:

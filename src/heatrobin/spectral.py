@@ -272,15 +272,20 @@ class ModalSeries:
         (n_terms, len(xs)) trig matrix, built once, a block holds
         64 * (len(xs) + n_terms) values, so memory does not grow with len(ts).
         Its rows are zero past the modes live at min(ts), so the product still
-        runs over every stored term and sums the same non-zero products."""
+        runs over every stored term and sums the same non-zero products. Each
+        block is computed in place in one buffer, so a yielded block stays
+        valid until the next one is requested."""
         xs, ts = grid_axis(xs), _times(ts)
         live = _live_modes(self, ts)
         tmat = np.zeros((self.n_terms, xs.size), dtype=np.result_type(self._roots, xs))
-        tmat[:live] = _TRIG[self.trig](np.outer(self._roots[:live], xs))  # (n, nx)
+        _TRIG[self.trig](np.multiply.outer(self._roots[:live], xs, out=tmat[:live]), out=tmat[:live])
+        buf = np.empty((min(ts.size, _ROW_BLOCK), xs.size), dtype=np.result_type(tmat, ts))
         for s in range(0, ts.size, _ROW_BLOCK):
             block = ts[s : s + _ROW_BLOCK]
             decayed = _damped_amplitudes(self, block, _live_modes(self, block))  # (rows, n)
-            yield s, decayed @ tmat + self.offset
+            rows = np.matmul(decayed, tmat, out=buf[: block.size])
+            rows += self.offset
+            yield s, rows
 
 
 def _live_modes(series: ModalSeries, ts: np.ndarray) -> int:
@@ -297,13 +302,14 @@ def _damped_amplitudes(series: ModalSeries, ts: np.ndarray, live: int) -> np.nda
     """The weights w_n(t) of ModalSeries for every t in ts, shape (len(ts), n),
     with exp taken over the first `live` modes and zeros past them."""
     rates = series._rates[:live]
-    decay = np.exp(-(ts[:, None] * rates))
-    out = np.zeros((ts.size, series.n_terms), dtype=decay.dtype)
-    out[:, :live] = decay * series._amps[:live]
+    out = np.zeros((ts.size, series.n_terms), dtype=np.result_type(ts, rates))
+    decay = out[:, :live]  # exp(-(t lam)), computed in place
+    np.exp(np.negative(np.multiply(ts[:, None], rates, out=decay), out=decay), out=decay)
     if series.source:
         with np.errstate(divide="ignore", invalid="ignore"):
             memory = np.where(rates > 0.0, (1.0 - decay) / rates, ts[:, None])
-        out = out + memory * series._source
+        return decay * series._amps + memory * series._source
+    decay *= series._amps[:live]
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .polyalg import _positive
+from .polyalg import _horner, _positive
 from .solver import ProblemSpec, SemiAnalyticSolution, solve_neumann_neumann
 
 __all__ = [
@@ -160,7 +160,7 @@ class _ReferenceRows:
             lam = k * tau / (h * h)
             b = (1.0 - theta) * lam  # explicit weight; 0.5 lam for Crank-Nicolson
             b2 = 2.0 * b
-            f = npoly.polyval(t0 + theta * tau, source_x)
+            f = _horner(source_x, t0 + theta * tau)
             rhs = (1.0 - b2) * u + tau * f
             rhs[1:M] += b * (u[:M - 1] + u[2:])
             rhs[0] = 0.0 if left == "dirichlet_robin" else (1.0 - b2) * u[0] + b2 * u[1] + tau * f[0]

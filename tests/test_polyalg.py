@@ -289,6 +289,8 @@ def test_trig_poly_integral_array_sigma_keeps_every_bit():
             # a list gives the array call's bits
             listed = trig_poly_integral(m, sigma.tolist(), l, kind, sin_l=sin_l, cos_l=cos_l)
             assert listed.tobytes() == got.tobytes(), (kind, m)
+            listed = trig_poly_integral(m, sigma, l, kind, sin_l=sin_l.tolist(), cos_l=cos_l.tolist())
+            assert listed.tobytes() == got.tobytes(), (kind, m)
             assert trig_poly_integral(m, sigma.tolist(), l, kind).tobytes() == np.array(own).tobytes()
     assert type(trig_poly_integral(3, 2.0, l)) is float
     bad = sigma.copy()

@@ -326,7 +326,7 @@ def test_grid_result_is_deterministic():
     base = ser.grid(xs, ts)
     assert base.shape == (201, 41)
     assert np.array_equal(base, ser.grid(xs, ts))
-    blocks = list(ser.row_blocks(xs, ts))
+    blocks = [(s, b.copy()) for s, b in ser.row_blocks(xs, ts)]  # a block lives until the next
     assert [s for s, _ in blocks] == [0, 64, 128, 192]
     assert np.vstack([b for _, b in blocks]).tobytes() == base.tobytes()
 
