@@ -2,7 +2,8 @@
 
 Exit codes; a rejection prints one line to stderr that starts with its prefix:
 - 0 success, 1 a `verify` bound failed;
-- 2 `config error`: the config cannot be read, parsed or validated;
+- 2 `config error`: the config cannot be read, parsed or validated (an
+  unknown key, in `grid` or `series` too, or a non-string `boundary`);
 - 2 `parameter error`: an `eigen` argument is out of range;
 - 2 `output error`: an --out directory that cannot be made or take a
   temporary file, an output path that is a directory or another user's file
@@ -35,7 +36,6 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -64,6 +64,7 @@ _BOUNDARY_ALIASES = {
     "dr": "dirichlet_robin",
 }
 _CONFIG_KEYS = {"k", "nu", "l", "T", "boundary", "mu0", "F", "T0", "grid", "series"}
+_SECTION_KEYS = {"grid": {"M", "K", "t_min"}, "series": {"n_max", "tol"}}
 
 
 class ConfigError(ValueError):
@@ -137,14 +138,25 @@ def _int_in(raw: dict, field: str, default: int, lo: int, hi: int) -> int:
     return v
 
 
+def _known(raw: dict, keys: set, prefix: str = "") -> dict:
+    """raw, once each of its keys is in keys; prefix names its section."""
+    for key in sorted(set(raw) - keys)[:1]:
+        raise ConfigError(f"unknown config field {prefix + key!r}")
+    return raw
+
+
+def _section(raw: dict, name: str) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"field {name!r} must be an object")
+    return _known(section, _SECTION_KEYS[name], f"{name}.")
+
+
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
-    bkey = raw.get("boundary")
-    if bkey not in _BOUNDARY_ALIASES:
+    bkey = _known(raw, _CONFIG_KEYS).get("boundary")
+    if not isinstance(bkey, str) or bkey not in _BOUNDARY_ALIASES:
         raise ConfigError(
             f"field 'boundary' must be one of {sorted(set(_BOUNDARY_ALIASES))}, got {bkey!r}"
         )
@@ -162,9 +174,7 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:  # ProblemSpec messages already name the field
         raise ConfigError(str(exc)) from exc
 
-    grid = raw.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("field 'grid' must be an object")
+    grid = _section(raw, "grid")
     M = _int_in(grid, "M", 200, 8, 10000)
     K = _int_in(grid, "K", 200, 8, 10000)
     t_min = grid.get("t_min", 0.01)
@@ -174,9 +184,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not (0.0 < t_min < problem.T):
         raise ConfigError(f"field 't_min' must lie strictly inside (0, T), got {t_min}")
 
-    series = raw.get("series", {})
-    if not isinstance(series, dict):
-        raise ConfigError("field 'series' must be an object")
+    series = _section(raw, "series")
     n_max = _int_in(series, "n_max", 64, 1, 1024)
     tol = series.get("tol", 1e-10)
     if not _is_finite(tol) or not tol > 0:
@@ -200,31 +208,15 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _write_rows(fh, x_strs: list[str], ts, rows) -> None:
-    """Write the x,t,u lines of each t in ts with its row of u from `rows`,
-    one grid row at a time. Values go through `tolist()` so that `repr` sees
-    Python floats (shortest round-trip digits), not numpy scalars."""
-    for t, row in zip(np.asarray(ts, dtype=float).tolist(), rows):
-        mid = f",{t!r},"
-        values = np.asarray(row, dtype=float).tolist()
-        fh.write("".join([f"{x}{mid}{u}\n" for x, u in zip(x_strs, map(repr, values))]))
-
-
-def _write_csv(path: Path, xs: np.ndarray, ts: np.ndarray, rows) -> None:
-    """Stream the header and the x,t,u rows, time-major, one grid row at a
-    time; `rows` is any iterable of 1-D rows, one per t (a 2-D array is one).
-
-    Each coordinate is formatted once. `Path.open("w")` uses the same
-    encoding and newline handling as `Path.write_text`."""
-    x_strs = [repr(x) for x in np.asarray(xs, dtype=float).tolist()]
-    with path.open("w") as fh:
-        fh.write("x,t,u\n")
-        _write_rows(fh, x_strs, ts, rows)
-
-
-def _solution_rows(sol: SemiAnalyticSolution, xs, ts):
-    """The rows of sol.on_grid(xs, ts), one at a time, from its row blocks."""
-    return itertools.chain.from_iterable(block for _, block in sol.row_blocks(xs, ts))
+def _write_rows(fh, x_strs: list[str], sol: SemiAnalyticSolution, xs, ts) -> None:
+    """Write the x,t,u lines of sol on xs x ts, time-major, one grid row at a
+    time from sol.row_blocks(xs, ts); x_strs are the formatted xs. Values go
+    through `tolist()` so that `repr` sees Python floats (shortest round-trip
+    digits), not numpy scalars."""
+    for start, block in sol.row_blocks(xs, ts):
+        for t, row in zip(ts[start : start + len(block)].tolist(), block):
+            mid = f",{t!r},"
+            fh.write("".join([f"{x}{mid}{u}\n" for x, u in zip(x_strs, map(repr, row.tolist()))]))
 
 
 def _row_parts(n_rows: int) -> list[tuple[int, int]]:
@@ -244,12 +236,12 @@ def _write_part(fd: int, x_strs: list[str], sol: SemiAnalyticSolution, xs, ts) -
     file fd. If it raises, the process prints the traceback and exits with
     status 1."""
     with open(fd, "w", closefd=False) as fh:
-        _write_rows(fh, x_strs, ts, _solution_rows(sol, xs, ts))
+        _write_rows(fh, x_strs, sol, xs, ts)
 
 
 def _write_solution_csv(path: Path, sol: SemiAnalyticSolution, xs, ts) -> None:
-    """Write the CSV of sol on xs x ts to path, byte for byte the file that
-    _write_csv(path, xs, ts, sol.on_grid(xs, ts)) writes.
+    """Write the CSV of sol on xs x ts to path: the header, then the lines
+    _write_rows formats for every time row, whatever the number of parts.
 
     The time rows are split by _row_parts. Before path is opened, one forked
     multiprocessing writer starts per part after the first. Each formats its
@@ -273,8 +265,9 @@ def _write_solution_csv(path: Path, sol: SemiAnalyticSolution, xs, ts) -> None:
             writer = multiprocessing.get_context("fork").Process(target=_write_part, args=args)
             writer.start()
             writers.append(writer)
-        first = ts[: parts[0][1]]
-        _write_csv(path, xs, first, _solution_rows(sol, xs, first))
+        with path.open("w") as fh:  # the encoding and newlines of Path.write_text
+            fh.write("x,t,u\n")
+            _write_rows(fh, x_strs, sol, xs, ts[: parts[0][1]])
         with path.open("ab") as out:
             for (lo, hi), part, writer in zip(parts[1:], files, writers):
                 writer.join()

@@ -130,22 +130,18 @@ class EigenSystem:
 def _offsets(base: np.ndarray, k: float, nu: float, l: float):
     """Zeros theta of h = k*(base + theta)/l * sin(theta) - nu*cos(theta) on
     (0, pi/2), one per entry of base, with |h| there. h(0) = -nu < 0 and
-    h(pi/2) > 0, so every bracket holds its zero: all are bisected at once
-    to width 1e-10, then each takes up to 5 Newton steps, kept only while
-    they stay inside its bracket and shrink |h|."""
+    h(pi/2) > 0, so every bracket holds its zero: all start at width pi/2
+    and are halved together to width 1e-10, then each takes up to 5 Newton
+    steps, kept only while they stay inside its bracket and shrink |h|."""
 
     def h(th):
         return k * (base + th) / l * np.sin(th) - nu * np.cos(th)
 
-    lo = np.zeros_like(base)
-    hi = np.full_like(base, math.pi / 2)
-    active = hi - lo > 1e-10
-    while active.any():
+    lo, hi = np.zeros_like(base), np.full_like(base, math.pi / 2)
+    for _ in range(math.ceil(math.log2(math.pi / 2 / 1e-10))):  # halvings to width 1e-10
         mid = 0.5 * (lo + hi)
         below = h(mid) < 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active = hi - lo > 1e-10
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     th = 0.5 * (lo + hi)
     val = h(th)
     active = np.ones_like(base, dtype=bool)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import traced
 from heatrobin import cli
@@ -28,6 +30,7 @@ DR = {
     "mu0": [0, 1, 0, 2], "F": [[0, 0], [1, -2], [0, 0], [1, 0]], "T0": [4, 1, -1],
 }
 ROOT = Path(__file__).resolve().parents[1]
+BOUNDARY_ERROR = "field 'boundary' must be one of ['dirichlet_robin', 'dr', 'neumann_robin', 'nr']"
 
 
 def _raw(name):
@@ -86,7 +89,7 @@ def test_report_rebuild_regenerates_identical_csv(tmp_path):
     grid_cfg = report["config"]["grid"]
     xs = np.linspace(0.0, report["config"]["l"], grid_cfg["M"] + 1)
     ts = np.linspace(0.0, report["config"]["T"], grid_cfg["K"] + 1)
-    cli._write_csv(tmp_path / "again.csv", xs, ts, sol.on_grid(xs, ts))
+    _f_string_writer(tmp_path / "again.csv", xs, ts, sol.on_grid(xs, ts))
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "solution.csv").read_bytes()
 
 
@@ -115,7 +118,8 @@ def test_rebuild_names_a_bad_report_key(section, key, kind):
 
 
 def _f_string_writer(path, xs, ts, grid):
-    # the per-point f-string writer the streaming _write_csv replaced
+    # the per-point f-string writer that the streaming cli._write_rows
+    # replaced: the independent reference of every CSV test here
     lines = ["x,t,u"]
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
@@ -124,43 +128,6 @@ def _f_string_writer(path, xs, ts, grid):
 
 
 AWKWARD = (-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, -1.5e-7, math.nan, math.inf, -math.inf)
-
-
-def test_write_csv_repeats_the_f_string_writer_byte_for_byte(tmp_path):
-    xs = np.linspace(0.0, 1.3, 37)
-    ts = np.linspace(0.0, 2.7, 23)
-    smooth = np.random.default_rng(5).standard_normal((ts.size, xs.size))
-    awkward = np.resize(np.array(AWKWARD), (ts.size, xs.size))
-    for name, grid in (("smooth", smooth), ("awkward", awkward)):
-        cli._write_csv(tmp_path / f"{name}.csv", xs, ts, grid)
-        _f_string_writer(tmp_path / f"{name}_ref.csv", xs, ts, grid)
-        got = (tmp_path / f"{name}.csv").read_bytes()
-        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
-    awkward_rows = (tmp_path / "awkward.csv").read_bytes()
-    for tail in (b",nan\n", b",-inf\n", b",5e-324\n", b",-0.0\n"):
-        assert tail in awkward_rows, tail
-
-
-def test_write_csv_streams_rows(tmp_path):
-    # building the whole text first peaks at about 26 MB here
-    xs = np.linspace(0.0, 1.0, 401)
-    ts = np.linspace(0.0, 1.0, 401)
-    grid = np.random.default_rng(6).standard_normal((ts.size, xs.size))
-    _, peak = traced(lambda: cli._write_csv(tmp_path / "solution.csv", xs, ts, grid))
-    assert peak < 2_000_000, peak
-
-
-@pytest.mark.parametrize("name", ["dirichlet_robin", "ex3"])
-def test_solve_streams_the_bytes_of_the_whole_grid(tmp_path, name):
-    # K = 130 streams row blocks of 64, 64 and 3
-    cfg_path = _write_config(tmp_path, {**_raw(name), "grid": {"M": 50, "K": 130}})
-    assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
-    cfg = cli.load_config(cfg_path)
-    sol = cli.solve_problem(cfg.problem, n_max=cfg.n_max)
-    xs, ts = cli._solution_grids(cfg)
-    assert [s for s, _ in sol.row_blocks(xs, ts)] == [0, 64, 128]
-    cli._write_csv(tmp_path / "whole.csv", xs, ts, sol.on_grid(xs, ts))
-    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "solution.csv").read_bytes()
 
 
 class _AwkwardSolution:
@@ -180,6 +147,45 @@ def _usable_cpus(monkeypatch, n):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def test_write_csv_repeats_the_f_string_writer_byte_for_byte(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 1)
+    xs = np.linspace(0.0, 1.3, 37)
+    ts = np.linspace(0.0, 2.7, 23)
+    smooth = np.random.default_rng(5).standard_normal((ts.size, xs.size))
+    awkward = np.resize(np.array(AWKWARD), (ts.size, xs.size))
+    for name, grid in (("smooth", smooth), ("awkward", awkward)):
+        cli._write_solution_csv(tmp_path / f"{name}.csv", _AwkwardSolution(ts, grid), xs, ts)
+        _f_string_writer(tmp_path / f"{name}_ref.csv", xs, ts, grid)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    awkward_rows = (tmp_path / "awkward.csv").read_bytes()
+    for tail in (b",nan\n", b",-inf\n", b",5e-324\n", b",-0.0\n"):
+        assert tail in awkward_rows, tail
+
+
+def test_write_csv_streams_rows(tmp_path, monkeypatch):
+    # building the whole text first peaks at about 26 MB here
+    _usable_cpus(monkeypatch, 1)
+    xs = np.linspace(0.0, 1.0, 401)
+    ts = np.linspace(0.0, 1.0, 401)
+    sol = _AwkwardSolution(ts, np.random.default_rng(6).standard_normal((ts.size, xs.size)))
+    _, peak = traced(lambda: cli._write_solution_csv(tmp_path / "solution.csv", sol, xs, ts))
+    assert peak < 2_000_000, peak
+
+
+@pytest.mark.parametrize("name", ["dirichlet_robin", "ex3"])
+def test_solve_streams_the_bytes_of_the_whole_grid(tmp_path, name):
+    # K = 130 streams row blocks of 64, 64 and 3
+    cfg_path = _write_config(tmp_path, {**_raw(name), "grid": {"M": 50, "K": 130}})
+    assert cli.main(["solve", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    cfg = cli.load_config(cfg_path)
+    sol = cli.solve_problem(cfg.problem, n_max=cfg.n_max)
+    xs, ts = cli._solution_grids(cfg)
+    assert [s for s, _ in sol.row_blocks(xs, ts)] == [0, 64, 128]
+    _f_string_writer(tmp_path / "whole.csv", xs, ts, sol.on_grid(xs, ts))
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "solution.csv").read_bytes()
+
+
 # K + 1 = 64, 65, 130 and 201 rows: one to four blocks, the last one short
 ROW_COUNTS = (64, 65, 130, 201)
 
@@ -191,7 +197,7 @@ def test_split_writer_repeats_the_serial_bytes(tmp_path, monkeypatch, cpus):
         ts = np.linspace(0.0, 2.7, n_rows)
         smooth = np.random.default_rng(n_rows).standard_normal((n_rows, xs.size))
         smooth[::3] = np.resize(np.array(AWKWARD), smooth[::3].shape)
-        cli._write_csv(tmp_path / "serial.csv", xs, ts, smooth)
+        _f_string_writer(tmp_path / "serial.csv", xs, ts, smooth)
         _usable_cpus(monkeypatch, cpus)
         parts = cli._row_parts(n_rows)
         assert len(parts) == min(cpus, -(-n_rows // 64))
@@ -210,7 +216,7 @@ def test_solve_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, name)
         cfg = cli.load_config(cfg_path)
         sol = cli.solve_problem(cfg.problem, n_max=cfg.n_max)
         xs, ts = cli._solution_grids(cfg)
-        cli._write_csv(tmp_path / "whole.csv", xs, ts, sol.on_grid(xs, ts))
+        _f_string_writer(tmp_path / "whole.csv", xs, ts, sol.on_grid(xs, ts))
         for cpus in (1, 2, 3, 5):
             _usable_cpus(monkeypatch, cpus)
             out = tmp_path / f"{n_rows}_{cpus}"
@@ -468,6 +474,17 @@ def test_solve_is_deterministic_across_runs(tmp_path):
         pytest.param(lambda c: c.update(T0=[math.nan]), "T0", id="T0-nan"),
         pytest.param(lambda c: c.update(T0=[10**400]), "T0", id="T0-overflow"),
         pytest.param(lambda c: c.update(k=10**400), "'k'", id="k-overflow"),
+        # a boundary that is not a string, and keys that grid and series lack
+        pytest.param(lambda c: c.update(boundary=["nr"]), f"{BOUNDARY_ERROR}, got ['nr']\n",
+                     id="boundary-array"),
+        pytest.param(lambda c: c.update(boundary={}), f"{BOUNDARY_ERROR}, got {{}}\n",
+                     id="boundary-object"),
+        pytest.param(lambda c: c.update(grid={"m": 50}), "unknown config field 'grid.m'\n",
+                     id="grid-m"),
+        pytest.param(lambda c: c.update(grid={"M": 40, "K": 40, "tmin": 0.1}),
+                     "unknown config field 'grid.tmin'\n", id="grid-tmin"),
+        pytest.param(lambda c: c.update(series={"nmax": 8}), "unknown config field 'series.nmax'\n",
+                     id="series-nmax"),
     ],
 )
 def test_config_rejections_exit_2(tmp_path, mutate, fragment):
@@ -476,6 +493,30 @@ def test_config_rejections_exit_2(tmp_path, mutate, fragment):
     proc = _run("solve", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path))
     assert proc.returncode == 2, proc.stderr
     assert fragment in proc.stderr
+
+
+FULL = {**EX2, "grid": {"M": 40, "K": 40, "t_min": 0.01}, "series": {"n_max": 64, "tol": 1e-10}}
+FIELDS = sorted(FULL) + [f"{section}.{key}" for section in ("grid", "series") for key in FULL[section]]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
+@example(field="boundary", value=["nr"])
+def test_any_json_value_in_any_field_is_parsed_or_refused(field, value):
+    # any field or grid/series key set to any JSON value (NaN, +-inf and
+    # unbounded ints included): a RunConfig or a ConfigError, nothing else
+    raw = json.loads(json.dumps(FULL))
+    section, _, key = field.rpartition(".")
+    (raw[section] if section else raw)[key] = value
+    try:
+        assert isinstance(cli.parse_config(raw), cli.RunConfig)
+    except cli.ConfigError:
+        pass
 
 
 def test_unreadable_and_malformed_configs_exit_2(tmp_path):
