@@ -28,9 +28,11 @@ ascending-power order:
 
 Numbers in the CSV/JSON outputs use the shortest round-trip representation,
 so identical runs at a fixed BLAS thread count produce byte-identical files.
-`solve` formats the CSV in at most one multiprocessing process per usable CPU
-and per 64-row block of time rows (see _write_solution_csv), with the same
-bytes.
+The CSV's u values get `repr`'s bytes from numpy (heatrobin._shortest:
+Schubfach's digits in 64-bit integers, `repr`'s layout); `repr` formats only
+non-finite values and the smallest subnormals. `solve` formats the CSV in at
+most one multiprocessing process per usable CPU and per 64-row block of time
+rows (see _write_solution_csv), with the same bytes.
 """
 
 from __future__ import annotations
@@ -208,15 +210,14 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _write_rows(fh, x_strs: list[str], sol: SemiAnalyticSolution, xs, ts) -> None:
-    """Write the x,t,u lines of sol on xs x ts, time-major, one grid row at a
-    time from sol.row_blocks(xs, ts); x_strs are the formatted xs. Values go
-    through `tolist()` so that `repr` sees Python floats (shortest round-trip
-    digits), not numpy scalars."""
+def _write_rows(fh, lines, sol: SemiAnalyticSolution, xs, ts) -> None:
+    """Write the x,t,u lines of sol on xs x ts, time-major, from
+    sol.row_blocks(xs, ts), lines.rows grid rows at a time; lines is the
+    _shortest.CsvLines of the formatted xs, and each t is formatted by repr."""
     for start, block in sol.row_blocks(xs, ts):
-        for t, row in zip(ts[start : start + len(block)].tolist(), block):
-            mid = f",{t!r},"
-            fh.write("".join([f"{x}{mid}{u}\n" for x, u in zip(x_strs, map(repr, row.tolist()))]))
+        t_strs = [repr(t) for t in ts[start : start + len(block)].tolist()]
+        for lo in range(0, len(block), lines.rows):
+            fh.write(lines(t_strs[lo : lo + lines.rows], block[lo : lo + lines.rows]))
 
 
 def _row_parts(n_rows: int) -> list[tuple[int, int]]:
@@ -231,12 +232,12 @@ def _row_parts(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _write_part(fd: int, x_strs: list[str], sol: SemiAnalyticSolution, xs, ts) -> None:
+def _write_part(fd: int, lines, sol: SemiAnalyticSolution, xs, ts) -> None:
     """Body of a writer process: format the rows of sol on xs x ts into the
     file fd. If it raises, the process prints the traceback and exits with
     status 1."""
-    with open(fd, "w", closefd=False) as fh:
-        _write_rows(fh, x_strs, sol, xs, ts)
+    with open(fd, "wb", closefd=False) as fh:
+        _write_rows(fh, lines, sol, xs, ts)
 
 
 def _write_solution_csv(path: Path, sol: SemiAnalyticSolution, xs, ts) -> None:
@@ -255,19 +256,21 @@ def _write_solution_csv(path: Path, sol: SemiAnalyticSolution, xs, ts) -> None:
     import shutil
     import tempfile
 
+    from . import _shortest
+
     parts = _row_parts(len(ts))
-    x_strs = [repr(x) for x in np.asarray(xs, dtype=float).tolist()]
+    lines = _shortest.CsvLines([repr(x) for x in np.asarray(xs, dtype=float).tolist()])
     files, writers = [], []
     try:
         for lo, hi in parts[1:]:
             files.append(tempfile.TemporaryFile(dir=path.parent))
-            args = (files[-1].fileno(), x_strs, sol, xs, ts[lo:hi])
+            args = (files[-1].fileno(), lines, sol, xs, ts[lo:hi])
             writer = multiprocessing.get_context("fork").Process(target=_write_part, args=args)
             writer.start()
             writers.append(writer)
-        with path.open("w") as fh:  # the encoding and newlines of Path.write_text
-            fh.write("x,t,u\n")
-            _write_rows(fh, x_strs, sol, xs, ts[: parts[0][1]])
+        with path.open("wb") as fh:
+            fh.write(b"x,t,u\n")
+            _write_rows(fh, lines, sol, xs, ts[: parts[0][1]])
         with path.open("ab") as out:
             for (lo, hi), part, writer in zip(parts[1:], files, writers):
                 writer.join()

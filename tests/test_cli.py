@@ -118,8 +118,9 @@ def test_rebuild_names_a_bad_report_key(section, key, kind):
 
 
 def _f_string_writer(path, xs, ts, grid):
-    # the per-point f-string writer that the streaming cli._write_rows
-    # replaced: the independent reference of every CSV test here
+    # the per-point f-string writer, one repr per value: the independent
+    # reference of every CSV test here, which cli._write_rows and its numpy
+    # digits (heatrobin._shortest) must repeat byte for byte
     lines = ["x,t,u"]
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
@@ -127,7 +128,16 @@ def _f_string_writer(path, xs, ts, grid):
     path.write_text("\n".join(lines) + "\n")
 
 
-AWKWARD = (-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, -1.5e-7, math.nan, math.inf, -math.inf)
+# Every branch of the CSV text: repr's special values, fixed notation with and
+# without ".0" and with leading zeros, exponent notation with two and three
+# exponent digits, both sides of each notation switch, and the smallest
+# subnormals, which repr formats itself.
+AWKWARD = (
+    -0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, -1.5e-7, math.nan, math.inf, -math.inf,
+    123.0, 0.5, 2.0**53, 2.0**-1022, 1e-4, float(np.nextafter(1e-4, 0)), 1e-5,
+    float(np.nextafter(1e-5, 0)), float(np.nextafter(1e16, 0)), 1e17, 1e22, 1e23, 1e100,
+    -1e-100, 1e-323, -5e-324,
+)
 
 
 class _AwkwardSolution:
