@@ -32,7 +32,7 @@ neumann_robin root crowds the pole of tan(theta) at pi/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -292,6 +292,16 @@ def _live_modes(series: ModalSeries, ts: np.ndarray) -> int:
     if series.source or not t0 > 0.0:
         return series.n_terms
     return int(np.searchsorted(series._rates, 746.0 / float(t0), side="right"))
+
+
+def _live_series(series: ModalSeries, t0: float) -> ModalSeries:
+    """series cut to its first _live_modes(series, [t0]) modes, whose dropped
+    terms are exactly 0.0 at every t >= t0; series itself when none has died."""
+    live, eig = _live_modes(series, np.array([t0])), series.eigen
+    if live == series.n_terms:
+        return series
+    cut = replace(eig, **{f: getattr(eig, f)[:live] for f in ("indices", "offsets", "roots", "residuals")})
+    return ModalSeries(cut, series.amplitudes[:live], series.offset, series.source[:live])
 
 
 def _damped_amplitudes(series: ModalSeries, ts: np.ndarray, live: int) -> np.ndarray:

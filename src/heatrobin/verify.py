@@ -11,13 +11,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .polyalg import _horner, _positive
 from .solver import ProblemSpec, SemiAnalyticSolution, solve_neumann_neumann
+from .spectral import _live_series
 
 __all__ = [
     "VerificationReport",
@@ -236,6 +237,11 @@ def residual_report(
     u and u_x on the two end columns only. The t >= t_min window keeps the
     probe away from the start line, where incompatible corner data makes
     derivatives blow up; the oracle comparison uses the same window.
+
+    The complex grids sum only the modes live at t_min (spectral._live_series;
+    the others are exactly 0.0 there) in two products: u_t, then u_xx's two
+    stencil points and the ends' u_x on one joined x axis. The real end grid
+    u, the initial energies and the oracle comparison use every stored mode.
     """
     problem = sol.problem
     k, nu, l, T = problem.k, problem.nu, problem.l, problem.T
@@ -244,15 +250,16 @@ def residual_report(
     xs = np.linspace(0.0, l, _PROBE_POINTS)
     ts = np.linspace(t_min, T, _PROBE_POINTS)
 
-    u_t = sol.on_grid(xs, ts + 1j * _H).imag / _H
-    g = _X_STEP * l
+    probe = replace(sol, modal=_live_series(sol.modal, t_min))
+    u_t = probe.on_grid(xs, ts + 1j * _H).imag / _H
+    g, n, ends = _X_STEP * l, xs.size, np.array([0.0, l])
     shift = g * _X_DIRECTION
-    u_xx = (sol.on_grid(xs + shift, ts) + sol.on_grid(xs - shift, ts)).imag / (g * g)
+    z = probe.on_grid(np.concatenate([xs + shift, xs - shift, ends + 1j * _H]), ts)
+    u_xx = (z[:, :n] + z[:, n : 2 * n]).imag / (g * g)
+    u_x = z[:, 2 * n :].imag / _H
     pde = np.max(np.abs(u_t - k * u_xx - problem.F.grid(xs, ts)))
 
-    ends = np.array([0.0, l])
     u = sol.on_grid(ends, ts)
-    u_x = sol.on_grid(ends + 1j * _H, ts).imag / _H
     left = np.max(np.abs(u[:, 0] if problem.boundary == "dirichlet_robin" else u_x[:, 0]))
     right = np.max(np.abs(k * u_x[:, 1] + nu * (u[:, 1] - problem.T0(ts))))
 

@@ -696,6 +696,46 @@ def test_verify_table_of_each_example_is_pinned(tmp_path, name):
     assert "".join(proc.stdout.splitlines(keepends=True)[:7]) == VERIFY_TABLES[name]
 
 
+EX3_DIAGNOSTICS = [
+    "initial and boundary data are inconsistent at the corner (l, 0): defect k*mu0'(l) + "
+    "nu*(mu0(l) - T0(0)) = 4.25; the correction series absorbs the jump in the L2 sense "
+    "but pointwise accuracy near t = 0 degrades",
+    "trace matrix entry (0,1): generated 2.0, subtracted-flux variant 0.0",
+    "trace matrix entry (0,2): generated 3.0, subtracted-flux variant -1.0",
+    "trace matrix entry (0,3): generated 4.0, subtracted-flux variant -2.0",
+    "trace matrix entry (1,2): generated 6.0, subtracted-flux variant 0.0",
+    "trace matrix entry (1,3): generated 22.5, subtracted-flux variant -7.5",
+    "trace matrix entry (2,3): generated 22.5, subtracted-flux variant 0.0",
+]
+
+
+def test_verify_of_ex3_at_1024_modes_is_pinned(tmp_path):
+    # at 64 modes every mode stays live in the probe's window; at 1024 the
+    # probe's complex-step grids run on the 174 modes live at t_min, and the
+    # whole table and the report's verification block keep their digits
+    payload = {**_raw("ex3"), "series": {"n_max": 1024}}
+    proc = _run("verify", "--config", _write_config(tmp_path, payload), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    table = VERIFY_TABLES["ex3"].replace("2.778790e-03", "4.295242e-05")
+    assert proc.stdout == table + "diagnostics:\n" + "".join(f"  - {d}\n" for d in EX3_DIAGNOSTICS)
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert rep["config"] == payload
+    assert rep["grid"] == {"M": 400, "K": 400, "t_min": 0.01}
+    assert rep["series"] == {"n_max": 1024, "tol": 1e-10}
+    assert all(len(rep["eigen"][f]) == 1024 for f in ("indices", "offsets", "roots", "residuals"))
+    assert len(rep["modal"]["amplitudes"]) == 1024
+    ver = rep["verification"]
+    assert ver.pop("diagnostics") == EX3_DIAGNOSTICS
+    assert {name: f"{v:.6e}" for name, v in ver.items()} == {
+        "pde_residual_max": "1.582365e-08",
+        "bc_residual_left": "0.000000e+00",
+        "bc_residual_right": "3.774758e-15",
+        "initial_l2_error": "4.295242e-05",
+        "oracle_max_diff": "3.578864e-04",
+        "compatibility_defect": "4.250000e+00",
+    }
+
+
 INCOMPATIBLE = {
     "k": 0.25, "nu": 0.5, "l": 1.0, "T": 1.0,
     "boundary": "neumann_robin",

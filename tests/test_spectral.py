@@ -648,10 +648,12 @@ def test_every_evaluator_refuses_a_negative_time(kind, source):
 
 
 def test_library_sessions_repeat_the_full_sum_bit_for_bit(perfbench, tmp_path, monkeypatch):
-    # the seed-0 library_spectral sessions' probe reports and lattice values
+    # the seed-0 and seed-1 library_spectral sessions' probe reports and
+    # lattice values, the probe's grids on the modes live at t_min against
+    # every stored mode
     gen, _ = perfbench
-    ops = gen.cycle_ops("library_spectral", 0, ROOT, tmp_path)
-    assert len(ops) == 8
+    ops = [op for seed in (0, 1) for op in gen.cycle_ops("library_spectral", seed, ROOT, tmp_path / str(seed))]
+    assert len(ops) == 16
 
     def session(op):
         cfg = cli.load_config(str(op.config))
@@ -665,6 +667,7 @@ def test_library_sessions_repeat_the_full_sum_bit_for_bit(perfbench, tmp_path, m
     got = [session(op) for op in ops]
     monkeypatch.setattr(ModalSeries, "row_blocks", _full_row_blocks)
     monkeypatch.setattr(spectral, "evaluate_series_info", _full_value)
+    monkeypatch.setattr(verify, "_live_series", lambda series, t0: series)
     assert [session(op) for op in ops] == got
 
 

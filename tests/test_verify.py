@@ -11,7 +11,7 @@ from conftest import traced
 from heatrobin import verify
 from heatrobin.polyalg import Poly1, Poly2
 from heatrobin.solver import ProblemSpec, solve_problem
-from heatrobin.spectral import ModalSeries, _live_modes
+from heatrobin.spectral import ModalSeries, _live_modes, _live_series
 from heatrobin.verify import (
     _substeps,
     _transform_factors,
@@ -232,6 +232,54 @@ def test_a_subnormal_t_min_keeps_every_mode_live_without_overflow():
     report = residual_report(sol, t_min=5e-324)
     assert math.isfinite(report.pde_residual_max)
     assert math.isfinite(sol(0.5, 5e-324))
+
+
+def _seeded_problem(rng, boundary):
+    # k and nu within a decade of the examples', l in [0.1, 1], cubic data
+    # with the source in the x powers the kind admits (even or odd)
+    k, nu = (c * 10.0 ** rng.uniform(-1.0, 1.0) for c in (0.25, 0.5))
+    odd = boundary == "dirichlet_robin"
+    rows = [rng.uniform(-2.0, 2.0, 2).tolist() if i % 2 == odd else [0.0, 0.0] for i in range(4)]
+    return ProblemSpec(
+        k=k, nu=nu, l=10.0 ** rng.uniform(-1.0, 0.0), T=1.0, boundary=boundary,
+        mu0=Poly1(tuple(rng.uniform(-2.0, 2.0, 4).tolist()), "x"),
+        F=Poly2(tuple(map(tuple, rows))),
+        T0=Poly1(tuple(rng.uniform(-2.0, 2.0, 2).tolist()), "t"),
+    )
+
+
+@pytest.mark.parametrize("t_min", [0.0, 1e-6, 0.01, 0.3])
+@pytest.mark.parametrize("n_max", [64, 300, 1024])
+@pytest.mark.parametrize("boundary", ["neumann_robin", "dirichlet_robin"])
+def test_the_probe_on_its_live_modes_repeats_the_stored_series_bit_for_bit(
+    monkeypatch, boundary, n_max, t_min
+):
+    rng = np.random.default_rng([n_max, len(boundary)])
+    sol = solve_problem(_seeded_problem(rng, boundary), n_max=n_max)
+    series, cut = sol.modal, _live_series(sol.modal, t_min)
+    dead = np.exp(-(t_min * series._rates)) == 0.0
+    if not dead.any():
+        assert cut is series
+    else:
+        # exactly the modes whose damping factor is 0.0 at t_min are dropped
+        live = cut.n_terms
+        assert not dead[:live].any() and dead[live:].all()
+        for name in ("kind", "k", "nu", "l"):
+            assert getattr(cut.eigen, name) == getattr(series.eigen, name)
+        for name in ("indices", "offsets", "roots", "residuals"):
+            assert getattr(cut.eigen, name) == getattr(series.eigen, name)[:live]
+        assert cut.amplitudes == series.amplitudes[:live]
+        assert (cut.offset, cut.source) == (series.offset, series.source)
+    if n_max == 1024 and t_min >= 0.01:
+        assert cut is not series
+    # every row, the initial misfit and the oracle gap included, has the bits
+    # of the probe on every stored mode
+    oracle = crank_nicolson_reference(sol.problem, 40, 40)
+    got = dataclasses.astuple(residual_report(sol, t_min=t_min, oracle=oracle))
+    monkeypatch.setattr(verify, "_live_series", lambda series, t0: series)
+    want = dataclasses.astuple(residual_report(sol, t_min=t_min, oracle=oracle))
+    hexed = [[v.hex() if isinstance(v, float) else v for v in rows] for rows in (got, want)]
+    assert hexed[0] == hexed[1]
 
 
 @pytest.mark.parametrize("problem", [_ex3_problem, _dr_problem])
