@@ -173,6 +173,39 @@ def test_write_csv_repeats_the_f_string_writer_byte_for_byte(tmp_path, monkeypat
         assert tail in awkward_rows, tail
 
 
+def test_write_csv_of_rows_wider_than_one_chunk_repeats_the_f_string_writer(tmp_path, monkeypatch):
+    # 3,001 columns: the kernel's 2,048-value chunk holds less than a row, so
+    # each call formats one whole row (the CLI allows up to 10,001 columns)
+    _usable_cpus(monkeypatch, 1)
+    xs = np.linspace(0.0, 1.3, 3001)
+    ts = np.linspace(0.0, 2.7, 3)
+    grid = np.random.default_rng(7).standard_normal((ts.size, xs.size))
+    grid[:, ::97] = np.resize(np.array(AWKWARD), grid[:, ::97].shape)
+    grid[1, -len(AWKWARD) :] = AWKWARD
+    from heatrobin import _shortest
+
+    assert _shortest.CsvLines([repr(x) for x in xs.tolist()]).rows == 1
+    cli._write_solution_csv(tmp_path / "wide.csv", _AwkwardSolution(ts, grid), xs, ts)
+    _f_string_writer(tmp_path / "wide_ref.csv", xs, ts, grid)
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "wide_ref.csv").read_bytes()
+
+
+def test_one_kernel_call_on_two_rows_of_1001_stays_below_400_kb():
+    # the transient memory of one chunk, its 62 KB of text included: 349 KB
+    # traced with Schubfach's products stacked in place, each table row taken
+    # where it is used; a (5, n) table take or a 96 KB index copy held across
+    # the products would cross the bound
+    from heatrobin import _shortest
+
+    xs = np.linspace(0.0, 1.0, 1001)
+    lines = _shortest.CsvLines([repr(x) for x in xs.tolist()])
+    rows = np.random.default_rng(3).standard_normal((2, xs.size))
+    lines(["0.5", "0.25"], rows)
+    text, peak = traced(lambda: lines(["0.5", "0.25"], rows))
+    assert text.count(b"\n") == 2 * xs.size
+    assert peak < 400 * 1024, peak
+
+
 def test_write_csv_streams_rows(tmp_path, monkeypatch):
     # building the whole text first peaks at about 26 MB here
     _usable_cpus(monkeypatch, 1)
