@@ -15,8 +15,8 @@ The key facts used throughout:
 
 The triangular system is built from the heat-polynomial weights (Rosenbloom
 & Widder, Trans. AMS 92, 1959) with the products that (trace o evolve) takes,
-and a tier-1 test pins it to that composition bit for bit; a sign-variant
-tabulation is kept purely as a diagnostic comparator (flux_sign_variant_matrix).
+and a tier-1 test pins it to that composition bit for bit; the paper's sign
+variant (flux_sign_variant_matrix) is a library comparator that no solve builds.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def flux_sign_variant_matrix(
 
     The generated system (build_coefficient_system) carries the flux term
     with a plus sign, which is what the t -> 0 trace identity forces. This
-    variant is kept purely as a diagnostic comparator so reports can itemize
-    how much the sign choice changes each entry; it must not be used to solve.
+    variant is a comparator for matrix_discrepancy_report, which itemizes how
+    much the sign choice changes each entry; it must not be used to solve.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -253,7 +253,7 @@ def flux_sign_variant_matrix(
 
 def matrix_discrepancy_report(system: CoefficientSystem) -> list[str]:
     """Itemize entries where the generated system differs from the
-    subtracted-flux variant tabulation (diagnostic only)."""
+    subtracted-flux variant tabulation (a library call; solve_problem skips it)."""
     gen = system.array
     var = flux_sign_variant_matrix(system.order - 1, system.k, system.nu, system.l, system.parity)
     lines = []

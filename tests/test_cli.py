@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced
-from heatrobin import cli
+from heatrobin import cli, extension
 from heatrobin.spectral import eigenvalues
 
 EX2 = {
@@ -733,12 +733,6 @@ EX3_DIAGNOSTICS = [
     "initial and boundary data are inconsistent at the corner (l, 0): defect k*mu0'(l) + "
     "nu*(mu0(l) - T0(0)) = 4.25; the correction series absorbs the jump in the L2 sense "
     "but pointwise accuracy near t = 0 degrades",
-    "trace matrix entry (0,1): generated 2.0, subtracted-flux variant 0.0",
-    "trace matrix entry (0,2): generated 3.0, subtracted-flux variant -1.0",
-    "trace matrix entry (0,3): generated 4.0, subtracted-flux variant -2.0",
-    "trace matrix entry (1,2): generated 6.0, subtracted-flux variant 0.0",
-    "trace matrix entry (1,3): generated 22.5, subtracted-flux variant -7.5",
-    "trace matrix entry (2,3): generated 22.5, subtracted-flux variant 0.0",
 ]
 
 
@@ -767,6 +761,35 @@ def test_verify_of_ex3_at_1024_modes_is_pinned(tmp_path):
         "oracle_max_diff": "3.578864e-04",
         "compatibility_defect": "4.250000e+00",
     }
+
+
+def _degree8(kind):
+    """The degree-8 problem that CI solves for one Robin kind: mu0, T0 and
+    the source's nonzero x rows all carry the coefficients (-1)**i (i+1)/8."""
+    c = [(-1) ** i * (i + 1) / 8 for i in range(9)]
+    F = [c if i % 2 == (kind == "dr") else [0] * 9 for i in range(9)]
+    raw = {"k": 0.25, "nu": 0.5, "l": 1.0, "T": 1.0, "boundary": kind, "mu0": c, "F": F, "T0": c}
+    return cli.parse_config(raw).problem
+
+
+def test_no_solve_builds_the_sign_variant_matrix(tmp_path, monkeypatch, capsys):
+    # the paper's subtracted-flux variant is a library comparator: a solve
+    # builds one matching matrix, and its diagnostics name corner defects only
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(extension, "flux_sign_variant_matrix", lambda *a, **k: pytest.fail("variant built"))
+    diagnostics = []
+    for name in ("ex1", "ex2", "ex3"):
+        out = tmp_path / name
+        assert cli.main(["solve", "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == 0
+        diagnostics.append(json.loads((out / "report.json").read_text())["diagnostics"])
+    assert diagnostics == [[], [], EX3_DIAGNOSTICS]
+    for kind in ("nr", "dr"):
+        sol = cli.solve_problem(_degree8(kind))
+        assert len(sol.diagnostics) == 2  # both corners
+        assert all("inconsistent at the corner" in d for d in sol.diagnostics), sol.diagnostics
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(ROOT / "configs" / "ex2.json"), "--out", str(tmp_path / "v")]) == 0
+    assert capsys.readouterr().out == VERIFY_TABLES["ex2"]
 
 
 INCOMPATIBLE = {

@@ -313,7 +313,7 @@ def test_report_on_value_left_case():
     assert rep.bc_residual_right <= 1e-14
     assert rep.initial_l2_error == pytest.approx(5.2516085880994615e-09, rel=1e-9)
     assert rep.oracle_max_diff == pytest.approx(1.246264381693507e-06, rel=1e-12, abs=0)
-    assert len(rep.diagnostics) == 6
+    assert len(rep.diagnostics) == 0
 
 
 def test_probe_measures_a_known_residual():
